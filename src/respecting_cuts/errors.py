@@ -1,8 +1,9 @@
 """Exception types and shared limits."""
 
-# Largest query set the subset-enumeration paths accept by default.  A set of
-# size k drives 2**k - 1 subset evaluations, so this is a safety valve, not a
-# hard mathematical bound.  Callers can override it per call; the command line
+# Largest query set accepted by default.  A k-respecting cut size reads C(k, 2)
+# pairwise values, each one O(m) edge pass when not cached, and the oracle
+# enumerates all 2**k - 1 subsets, so this is a safety valve, not a hard
+# mathematical bound.  Callers can override it per call; the command line
 # reads RESPECTING_CUTS_MAX_K.
 DEFAULT_MAX_K = 16
 
@@ -16,7 +17,8 @@ class GraphInputError(ValueError):
 
 
 class EndpointRangeError(GraphInputError):
-    """An edge endpoint falls outside the vertex range."""
+    """An edge endpoint is not an integer or falls outside the vertex
+    range."""
 
 
 class SelfLoopError(GraphInputError):
@@ -24,7 +26,8 @@ class SelfLoopError(GraphInputError):
 
 
 class EdgeWeightError(GraphInputError):
-    """An edge weight is below one."""
+    """An edge weight is not an integer, is below one, or the total weight
+    is too large for exact int64 sums."""
 
 
 class TreeStructureError(ValueError):
@@ -37,7 +40,7 @@ class QueryError(ValueError):
 
 
 class KLimitExceeded(QueryError):
-    """Query set larger than the configured subset-enumeration limit.
+    """Query set larger than the configured size limit.
 
     Carries the offending size so callers can fall back to a direct
     computation instead.

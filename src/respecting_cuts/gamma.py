@@ -4,12 +4,14 @@ The size of any cut that crosses a rooted spanning tree in exactly k
 edges expands, by inclusion-exclusion, into an alternating sum of
 intersection sizes of subtree cuts.  Three facts make that sum cheap:
 
-* the intersection size of two subtree cuts falls out of one linear
-  pass over the edges, driven by whether the two subtrees nest or are
+* the intersection size of two subtree cuts falls out of one O(m) pass
+  over the edges, driven by whether the two subtrees nest or are
   disjoint;
 * for three or more subtrees, the ancestor structure of the query set
   collapses the intersection either to zero or to a single pairwise
-  value (the four-way classification below);
+  value (the four-way classification below), so the whole sum folds
+  into k single values and C(k, 2) signed pairwise values (the pair
+  identity in ``k_respecting_cut_size``);
 * every subtree cut size itself comes from one bottom-up pass with
   difference counters.
 
@@ -20,7 +22,6 @@ vectorized with numpy across the whole edge list.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -262,23 +263,21 @@ def all_subtree_cut_sizes(
 
 
 class GammaTable:
-    """Lazy per-(graph, tree) cache of subtree cut sizes, pairwise
-    intersection sizes and resolved k-wise values.
+    """Lazy per-(graph, tree) cache of subtree cut sizes and pairwise
+    intersection sizes.
 
-    Pairwise entries are symmetric and filled on demand by one vectorized
-    edge pass each; ``precompute_pairs`` fills a block of them up front
-    for repeated query workloads.  Keep in mind that all pairs over n
-    vertices is quadratic in n.
+    Entries are symmetric and filled on demand by one vectorized O(m)
+    edge pass each.  A table answers only for the graph and tree it was
+    built for; the query functions refuse any other.
     """
 
     def __init__(self, graph: Graph, tree: RootedSpanningTree):
-        if tree.graph.n != graph.n or tree.graph.m != graph.m:
-            raise ValueError("tree was built for a different graph shape")
+        if tree.graph is not graph:
+            raise QueryError("tree was built for a different graph")
         self.graph = graph
         self.tree = tree
         self._singles: dict[int, int] = {}
         self._pairs: dict[tuple[int, int], int] = {}
-        self._kwise: dict[tuple[int, ...], int] = {}
         self._tin_u: np.ndarray | None = None
         self._tin_v: np.ndarray | None = None
 
@@ -313,38 +312,15 @@ class GammaTable:
             self._pairs[key] = val
         return val
 
-    def precompute_pairs(self, vertices: Iterable[int] | None = None) -> None:
-        """Fill the pair cache for all pairs over the given vertices
-        (default: every non-root vertex)."""
-        if vertices is None:
-            pool = [v for v in range(self.graph.n) if v != self.tree.root]
-        else:
-            pool = _validated_members(self.tree, vertices)
-        for x, y in itertools.combinations(sorted(pool), 2):
-            self.pair(x, y)
 
-
-def _k_wise_cached(table: GammaTable, key: tuple[int, ...]) -> int:
-    hit = table._kwise.get(key)
-    if hit is not None:
-        return hit
-    case = _classify(table.tree, list(key))
-    tag = case.tag
-    if tag is CaseTag.BASE_SINGLE:
-        val = table.single(key[0])
-    elif tag is CaseTag.BASE_PAIR:
-        val = table.pair(key[0], key[1])
-    elif tag is CaseTag.CASE2_CHAIN:
-        assert case.pair is not None
-        val = table.pair(case.pair[0], case.pair[1])
-    elif tag is CaseTag.CASE4_ELIMINABLE:
-        val = _k_wise_cached(
-            table, tuple(v for v in key if v != case.eliminated)
-        )
-    else:
-        val = 0
-    table._kwise[key] = val
-    return val
+def _own_table(
+    graph: Graph, tree: RootedSpanningTree, table: GammaTable | None
+) -> GammaTable:
+    if table is None:
+        return GammaTable(graph, tree)
+    if table.graph is not graph or table.tree is not tree:
+        raise QueryError("table was built for a different graph or tree")
+    return table
 
 
 def k_wise_gamma(
@@ -355,14 +331,26 @@ def k_wise_gamma(
 ) -> int:
     """Intersection size of the subtree cuts of all members.
 
-    Resolves the classification recursively: base cases read the cached
-    single or pairwise value, the chain case collapses to its witness
-    pair, the independent and branching cases are zero, and the
-    eliminable case drops its witness and recurses.
+    Follows the classification: an eliminable set drops its witness and
+    is classified again, base cases read the single or pairwise value,
+    the chain case reads its witness pair, and the independent and
+    branching cases are zero.
     """
     mem = _validated_members(tree, members)
-    tab = table if table is not None else GammaTable(graph, tree)
-    return _k_wise_cached(tab, tuple(mem))
+    tab = _own_table(graph, tree, table)
+    while True:
+        case = _classify(tree, mem)
+        tag = case.tag
+        if tag is CaseTag.CASE4_ELIMINABLE:
+            mem.remove(case.eliminated)
+        elif tag is CaseTag.BASE_SINGLE:
+            return tab.single(mem[0])
+        elif tag is CaseTag.BASE_PAIR:
+            return tab.pair(mem[0], mem[1])
+        elif tag is CaseTag.CASE2_CHAIN:
+            return tab.pair(*case.pair)
+        else:
+            return 0
 
 
 def k_respecting_cut_size(
@@ -375,23 +363,29 @@ def k_respecting_cut_size(
     """Size of the unique cut whose crossing tree edges are exactly the
     parent edges of the members.
 
-    Evaluates the alternating sum over all nonempty subsets of the query
-    set: level l contributes (-1)^(l-1) * 2^(l-1) times the sum of the
-    l-wise intersection values.  Exact integer arithmetic throughout.
+    The alternating sum over all subsets of the members folds into the
+    pair identity |cut| = sum_v delta(v) - 2 sum_{x<y} (-1)^t(x,y)
+    gamma(x, y), where t(x, y) counts the other members strictly inside
+    the tree path x..y, its lowest common ancestor excluded.  A query
+    reads k single and C(k, 2) pairwise values, in exact integers.
     """
     mem = _validated_members(tree, members)
     limit = DEFAULT_MAX_K if max_k is None else int(max_k)
     if len(mem) > limit:
         raise KLimitExceeded(len(mem), limit)
-    tab = table if table is not None else GammaTable(graph, tree)
-    total = 0
-    for level in range(1, len(mem) + 1):
-        level_sum = 0
-        for combo in itertools.combinations(mem, level):
-            level_sum += _k_wise_cached(tab, combo)
-        coeff = 1 << (level - 1)
-        total += coeff * level_sum if level % 2 else -coeff * level_sum
-    assert total >= 0, "alternating sum must land on a cut size"
+    tab = _own_table(graph, tree, table)
+    desc = tree.is_descendant
+    # Bit j of above[i] is set when mem[j] is mem[i] or an ancestor of it,
+    # so above[i] ^ above[j] marks the members on the path from i to j.
+    above = [sum(1 << j for j, z in enumerate(mem) if desc(x, z)) for x in mem]
+    total = sum(tab.single(v) for v in mem)
+    for i in range(len(mem)):
+        for j in range(i + 1, len(mem)):
+            inside = (above[i] ^ above[j]) & ~((1 << i) | (1 << j))
+            value = 2 * tab.pair(mem[i], mem[j])
+            total += value if inside.bit_count() % 2 else -value
+    if total < 0:
+        raise ArithmeticError(f"pair identity gave a negative cut {total}")
     return total
 
 
@@ -404,9 +398,9 @@ def cut_size_via_tree(
 ) -> tuple[int, frozenset[int]]:
     """Cut size of a vertex set, computed through the tree decomposition.
 
-    Decomposes the cut into its subtree basis, then evaluates the
-    alternating sum.  Returns (size, basis).  Raises KLimitExceeded,
-    naming the offending k, when the basis outgrows the limit.
+    Decomposes the cut into its subtree basis, then evaluates the pair
+    identity.  Returns (size, basis).  Raises KLimitExceeded, naming the
+    offending k, when the basis outgrows the limit.
     """
     basis, _complemented = tree.decompose_cut_as_xor_basis(members)
     size = k_respecting_cut_size(

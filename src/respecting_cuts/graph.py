@@ -17,9 +17,41 @@ import numpy as np
 from .errors import (
     EdgeWeightError,
     EndpointRangeError,
+    GraphInputError,
     QueryError,
     SelfLoopError,
 )
+
+# Total edge weight must stay below this.  Every subtree cut and pairwise
+# value is then below 2**62, and the signed counters of the one-pass subtree
+# cut computation (at most twice the total in magnitude) fit in int64.
+MAX_TOTAL_WEIGHT = 2**62
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64_column(
+    values, what: str, error: type[GraphInputError]
+) -> np.ndarray:
+    """One edge field as an int64 array.  An entry that is not an integer
+    (a float, a bool, a string) or does not fit in int64 is rejected,
+    naming its edge, because converting it would change the graph."""
+    column = np.array(values).reshape(-1)
+    exact = column.dtype.kind == "i"
+    if exact and isinstance(values, (list, tuple)):
+        # np.asarray reads bools mixed with ints as ints.
+        exact = not {bool, np.bool_} & set(map(type, values))
+    if column.size and not exact:
+        for i, x in enumerate(np.asarray(values, dtype=object).reshape(-1)):
+            if (
+                isinstance(x, (bool, np.bool_))
+                or not isinstance(x, (int, np.integer))
+                or not _INT64.min <= x <= _INT64.max
+            ):
+                raise error(
+                    f"edge {i} has {what} {x!r}, which is not an int64 integer",
+                    edge_index=i,
+                )
+    return column.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +75,9 @@ class Graph:
         if int(n) < 1:
             raise ValueError("a graph needs at least one vertex")
         n = int(n)
-        u = np.array(edge_u, dtype=np.int64).reshape(-1)
-        v = np.array(edge_v, dtype=np.int64).reshape(-1)
-        w = np.array(edge_weight, dtype=np.int64).reshape(-1)
+        u = _int64_column(edge_u, "endpoint", EndpointRangeError)
+        v = _int64_column(edge_v, "endpoint", EndpointRangeError)
+        w = _int64_column(edge_weight, "weight", EdgeWeightError)
         if not (u.shape == v.shape == w.shape):
             raise ValueError("endpoint and weight arrays differ in length")
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
@@ -67,6 +99,12 @@ class Graph:
             raise EdgeWeightError(
                 f"edge {i} has weight {int(w[i])}, weights must be >= 1",
                 edge_index=i,
+            )
+        total = int(w.sum(dtype=object))  # Python ints: no int64 wrap
+        if total >= MAX_TOTAL_WEIGHT:
+            raise EdgeWeightError(
+                f"total edge weight {total} must stay below 2**62 so that "
+                "cut sums fit in int64"
             )
         u.setflags(write=False)
         v.setflags(write=False)
@@ -116,17 +154,17 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Build a Graph from (u, v) pairs or (u, v, weight) triples.
 
     Edge ids follow the order of edge_list and omitted weights default
-    to one.  Rejects out-of-range endpoints, self-loops and weights
-    below one, naming the offending edge index.
+    to one.  Rejects non-integer or out-of-range endpoints, self-loops,
+    non-integer weights and weights below one, naming the offending edge
+    index, and a total weight of MAX_TOTAL_WEIGHT or more.
     """
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []
     for edge in edge_list:
-        u, v = edge[0], edge[1]
-        us.append(int(u))
-        vs.append(int(v))
-        ws.append(int(edge[2]) if len(edge) > 2 else 1)
+        us.append(edge[0])
+        vs.append(edge[1])
+        ws.append(edge[2] if len(edge) > 2 else 1)
     return Graph.from_arrays(n, us, vs, ws)
 
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from respecting_cuts.generators import (
     gen_query_set,
     gen_spanning_tree,
 )
-from respecting_cuts.graph import build_graph, cut_size_direct
+from respecting_cuts.graph import Graph, build_graph, cut_size_direct
 from respecting_cuts.oracle import oracle_k_wise_gamma, xor_of_subtrees
 
 
@@ -143,13 +144,76 @@ def test_cut_size_via_tree_fixtures(f1):
 def test_gamma_table_caches_consistently(f3):
     g, t = f3
     table = GammaTable(g, t)
-    table.precompute_pairs()
+    for x, y in itertools.combinations([1, 2, 3], 2):
+        table.pair(x, y)
+    assert len(table._pairs) == 3
     for x, y in itertools.combinations([1, 2, 3], 2):
         assert table.pair(x, y) == pairwise_gamma(g, t, x, y)
         assert table.pair(y, x) == table.pair(x, y)
     sizes = all_subtree_cut_sizes(g, t)
     for v in (1, 2, 3):
         assert table.single(v) == sizes[v]
+
+
+def test_table_refuses_a_foreign_graph_or_tree():
+    g = gen_connected_graph(8, 14, 0)
+    t1 = gen_spanning_tree(g, 0, 0, "bfs")
+    t2 = gen_spanning_tree(g, 0, 0, "dfs")
+    foreign = GammaTable(g, t2)
+    assert k_respecting_cut_size(g, t1, {1, 2}) == 5
+    with pytest.raises(QueryError):
+        k_respecting_cut_size(g, t1, {1, 2}, table=foreign)
+    with pytest.raises(QueryError):
+        k_wise_gamma(g, t1, {1, 2}, table=foreign)
+    with pytest.raises(QueryError):
+        cut_size_via_tree(g, t1, {1, 2}, table=foreign)
+    same_shape = Graph.from_arrays(g.n, g.edge_u, g.edge_v, g.edge_weight)
+    with pytest.raises(QueryError):
+        k_respecting_cut_size(same_shape, t1, {1, 2}, table=GammaTable(g, t1))
+    with pytest.raises(QueryError):
+        GammaTable(same_shape, t1)
+
+
+def test_negative_total_raises(f1):
+    # A consistent table never yields a negative total; a corrupted cache
+    # entry must raise even when asserts are stripped.
+    g, t = f1
+    table = GammaTable(g, t)
+    table._pairs[(1, 2)] = 100
+    with pytest.raises(ArithmeticError):
+        k_respecting_cut_size(g, t, {1, 2}, table=table)
+
+
+def test_pair_identity_matches_literal_subset_sum():
+    # The alternating sum over every subset, spelled out here as the
+    # reference the pair identity must reproduce.
+    rng = np.random.default_rng(20221024)
+    for trial in range(300):
+        n = int(rng.integers(3, 20))
+        m = int(rng.integers(n - 1, 3 * n))
+        base = gen_connected_graph(n, m, int(rng.integers(2**31)))
+        weights = rng.integers(1, 20, size=m)
+        graph = Graph.from_arrays(n, base.edge_u, base.edge_v, weights)
+        strategy = ("bfs", "dfs", "uniform")[trial % 3]
+        root = int(rng.integers(n))
+        seed = int(rng.integers(2**31))
+        tree = gen_spanning_tree(graph, root, seed, strategy)
+        k = int(rng.integers(1, min(12, n - 1) + 1))
+        members = sorted(gen_query_set(tree, k, int(rng.integers(2**31))))
+
+        table = GammaTable(graph, tree)
+        size = k_respecting_cut_size(graph, tree, members, table=table)
+        assert len(table._singles) <= k
+        assert len(table._pairs) <= k * (k - 1) // 2
+
+        literal = 0
+        for level in range(1, k + 1):
+            sign = 1 if level % 2 else -1
+            for combo in itertools.combinations(members, level):
+                value = k_wise_gamma(graph, tree, combo, table=table)
+                literal += sign * (1 << (level - 1)) * value
+        assert size == literal
+        assert size == cut_size_direct(graph, xor_of_subtrees(tree, members))
 
 
 @st.composite

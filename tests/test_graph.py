@@ -11,7 +11,10 @@ from respecting_cuts.errors import (
     QueryError,
     SelfLoopError,
 )
+from respecting_cuts.gamma import all_subtree_cut_sizes, cut_size_via_tree
+from respecting_cuts.generators import gen_spanning_tree
 from respecting_cuts.graph import (
+    MAX_TOTAL_WEIGHT,
     Graph,
     build_graph,
     cut_edge_set,
@@ -55,6 +58,53 @@ def test_rejects_zero_weight():
     with pytest.raises(EdgeWeightError) as exc:
         build_graph(3, [(0, 1, 0)])
     assert exc.value.edge_index == 0
+
+
+@pytest.mark.parametrize(
+    "edges, error, index",
+    [
+        ([(0, 1, 1.7)], EdgeWeightError, 0),
+        ([(0, 1, 2.0)], EdgeWeightError, 0),
+        ([(0.9, 1)], EndpointRangeError, 0),
+        ([(0, 1), (1, 2.0)], EndpointRangeError, 1),
+        ([(0, 1, True)], EdgeWeightError, 0),
+        ([(0, 1, 2), (1, 2, True)], EdgeWeightError, 1),
+        ([(0, 1), (True, 2)], EndpointRangeError, 1),
+        ([("0", 1)], EndpointRangeError, 0),
+        ([(0, 1, 2**70)], EdgeWeightError, 0),
+    ],
+)
+def test_rejects_coerced_fields(edges, error, index):
+    with pytest.raises(error) as exc:
+        build_graph(3, edges)
+    assert exc.value.edge_index == index
+
+
+def test_from_arrays_rejects_coerced_arrays():
+    with pytest.raises(EndpointRangeError):
+        Graph.from_arrays(3, np.array([0.0, 1.0]), [1, 2], [1, 1])
+    with pytest.raises(EdgeWeightError):
+        Graph.from_arrays(3, [0, 1], [1, 2], np.array([True, True]))
+    empty = np.asarray([])
+    g = Graph.from_arrays(1, empty, empty, empty)
+    assert (g.n, g.m) == (1, 0)
+
+
+def test_total_weight_bound():
+    half = MAX_TOTAL_WEIGHT // 2
+    with pytest.raises(EdgeWeightError):
+        build_graph(3, [(0, 1, 2**62), (1, 2, 2**62), (0, 2, 2**62)])
+    with pytest.raises(EdgeWeightError):
+        build_graph(3, [(0, 1, half), (1, 2, half - 1), (0, 2, 1)])
+    g = build_graph(3, [(0, 1, half), (1, 2, half - 2), (0, 2, 1)])
+    for strategy in ("bfs", "dfs"):
+        t = gen_spanning_tree(g, 0, 0, strategy)
+        sizes = all_subtree_cut_sizes(g, t)
+        for v, size in sizes.items():
+            assert size == cut_size_direct(g, t.subtree_members(v))
+        for inside in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}):
+            size, _ = cut_size_via_tree(g, t, inside)
+            assert size == cut_size_direct(g, inside)
 
 
 def test_rejects_empty_vertex_count():
