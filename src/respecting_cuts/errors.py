@@ -9,7 +9,7 @@ DEFAULT_MAX_K = 16
 
 
 class GraphInputError(ValueError):
-    """Invalid edge list handed to graph construction."""
+    """Invalid vertex count or edge list handed to graph construction."""
 
     def __init__(self, message, edge_index=None):
         super().__init__(message)
@@ -36,7 +36,7 @@ class TreeStructureError(ValueError):
 
 class QueryError(ValueError):
     """A query set violates its preconditions (root member, duplicate,
-    out-of-range vertex, empty or improper set)."""
+    non-integer or out-of-range vertex, empty or improper set)."""
 
 
 class KLimitExceeded(QueryError):

@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DEFAULT_MAX_K, KLimitExceeded, QueryError
-from .graph import Graph
+from .graph import Graph, checked_vertex_set
 from .tree import RootedSpanningTree
 
 
@@ -59,18 +59,14 @@ class GammaCase:
 def _validated_members(
     tree: RootedSpanningTree, members: Iterable[int]
 ) -> list[int]:
-    mlist = [int(v) for v in members]
-    mset = set(mlist)
+    mlist = list(members)
+    mset = checked_vertex_set(tree.graph, mlist)
     if len(mset) != len(mlist):
         raise QueryError("duplicate vertices in query set")
     if not mset:
         raise QueryError("query set must be nonempty")
-    n = tree.graph.n
-    for v in mset:
-        if not 0 <= v < n:
-            raise QueryError(f"vertex {v} out of range for {n} vertices")
-        if v == tree.root:
-            raise QueryError(f"root {v} cannot appear in a query set")
+    if tree.root in mset:
+        raise QueryError(f"root {tree.root} cannot appear in a query set")
     return sorted(mset)
 
 

@@ -106,24 +106,15 @@ def gen_connected_graph(n: int, target_m: int, seed: int) -> Graph:
     return Graph.from_arrays(n, us, vs, [1] * target_m)
 
 
-def _check_connected(graph: Graph, root: int) -> None:
-    adj = graph.adjacency
-    seen = [False] * graph.n
-    seen[root] = True
-    queue = deque([root])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w, _eid in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    if count != graph.n:
+def _spanning_ids(ids: set[int], seen: list[bool], root: int) -> set[int]:
+    """The tree edge ids of a traversal from root, which must have seen
+    every vertex."""
+    if len(ids) != len(seen) - 1:
         missing = seen.index(False)
         raise GraphInputError(
             f"graph is disconnected: vertex {missing} unreachable from {root}"
         )
+    return ids
 
 
 def _bfs_tree_ids(graph: Graph, root: int) -> set[int]:
@@ -139,7 +130,7 @@ def _bfs_tree_ids(graph: Graph, root: int) -> set[int]:
                 seen[w] = True
                 ids.add(eid)
                 queue.append(w)
-    return ids
+    return _spanning_ids(ids, seen, root)
 
 
 def _dfs_tree_ids(graph: Graph, root: int) -> set[int]:
@@ -163,7 +154,7 @@ def _dfs_tree_ids(graph: Graph, root: int) -> set[int]:
                 break
         if not advanced:
             stack.pop()
-    return ids
+    return _spanning_ids(ids, seen, root)
 
 
 def _wilson_tree_ids(
@@ -211,12 +202,12 @@ def gen_spanning_tree(
     root = int(root)
     if not 0 <= root < graph.n:
         raise ValueError(f"root {root} out of range for {graph.n} vertices")
-    _check_connected(graph, root)
     if strategy == "bfs":
         ids = _bfs_tree_ids(graph, root)
     elif strategy == "dfs":
         ids = _dfs_tree_ids(graph, root)
     else:
+        _bfs_tree_ids(graph, root)  # the walk below never ends on a disconnected graph
         rng = _generator(np.random.SeedSequence(seed))
         ids = _wilson_tree_ids(graph, root, rng)
     return build_rooted_tree(graph, ids, root)

@@ -29,6 +29,11 @@ MAX_TOTAL_WEIGHT = 2**62
 _INT64 = np.iinfo(np.int64)
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer; bools count as not integers."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+
+
 def _int64_column(
     values, what: str, error: type[GraphInputError]
 ) -> np.ndarray:
@@ -42,11 +47,7 @@ def _int64_column(
         exact = not {bool, np.bool_} & set(map(type, values))
     if column.size and not exact:
         for i, x in enumerate(np.asarray(values, dtype=object).reshape(-1)):
-            if (
-                isinstance(x, (bool, np.bool_))
-                or not isinstance(x, (int, np.integer))
-                or not _INT64.min <= x <= _INT64.max
-            ):
+            if not (_is_integer(x) and _INT64.min <= x <= _INT64.max):
                 raise error(
                     f"edge {i} has {what} {x!r}, which is not an int64 integer",
                     edge_index=i,
@@ -72,7 +73,9 @@ class Graph:
     @classmethod
     def from_arrays(cls, n, edge_u, edge_v, edge_weight) -> "Graph":
         """Validate and adopt endpoint/weight arrays (copies them)."""
-        if int(n) < 1:
+        if not _is_integer(n):
+            raise GraphInputError(f"vertex count {n!r} is not an integer")
+        if n < 1:
             raise ValueError("a graph needs at least one vertex")
         n = int(n)
         u = _int64_column(edge_u, "endpoint", EndpointRangeError)
@@ -168,15 +171,29 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     return Graph.from_arrays(n, us, vs, ws)
 
 
+def checked_vertex(graph: Graph, v) -> int:
+    """A vertex id of the graph as a plain int.
+
+    Accepts Python and numpy integers in [0, n).  Anything else, a bool,
+    a float or a string included, is refused rather than converted,
+    because converting it could answer for a different vertex.
+    """
+    if not _is_integer(v):
+        raise QueryError(f"vertex {v!r} is not an integer vertex id")
+    if not 0 <= v < graph.n:
+        raise QueryError(f"vertex {v} out of range for {graph.n} vertices")
+    return int(v)
+
+
 def checked_vertex_set(graph: Graph, members: Iterable[int]) -> set[int]:
-    """Coerce members to a set of ints inside the graph's vertex range."""
-    out = {int(x) for x in members}
-    for x in out:
-        if not 0 <= x < graph.n:
-            raise QueryError(
-                f"vertex {x} out of range for {graph.n} vertices"
-            )
-    return out
+    """Members as a set of checked vertex ids."""
+    n = graph.n
+    # Plain in-range ints pass as they are; every other value goes through
+    # checked_vertex.  Vertex sets can hold most of a large graph.
+    return {
+        x if type(x) is int and 0 <= x < n else checked_vertex(graph, x)
+        for x in members
+    }
 
 
 def cut_edge_set(graph: Graph, members: Iterable[int]) -> set[int]:

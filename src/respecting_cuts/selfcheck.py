@@ -3,6 +3,11 @@
 Every sweep pits the fast query engine against the definition-level
 reference computations on seeded corpora and reports counts plus the
 first counterexample, serialized fully so a failure can be replayed.
+
+Instances come from one seeded master stream through ``_draw_graph``,
+``_draw_tree`` and ``_draw_query``.  The order of the master draws is
+part of each acceptance corpus: reordering, adding or dropping one
+silently changes what every gate checks.
 """
 
 from __future__ import annotations
@@ -50,22 +55,105 @@ def _next_seed(master: np.random.Generator) -> int:
     return int(master.integers(0, 2**63))
 
 
-def _payload(graph: Graph, tree: RootedSpanningTree, **extra) -> dict:
-    """A replayable description of one failing instance."""
-    body = {
+def _draw_graph(master, n_lo: int, n_hi: int, m_max=None, weighted=False) -> Graph:
+    """Connected graph with n in [n_lo, n_hi] and m in [n - 1, m_max]
+    (2n by default); weighted graphs get fresh uniform weights in [1, 10]."""
+    n = int(master.integers(n_lo, n_hi + 1))
+    m = int(master.integers(n - 1, (2 * n if m_max is None else m_max) + 1))
+    graph = gen_connected_graph(n, m, _next_seed(master))
+    if weighted:
+        w = master.integers(1, 11, size=m)
+        graph = Graph.from_arrays(n, graph.edge_u, graph.edge_v, w)
+    return graph
+
+
+def _draw_tree(master, graph: Graph, strategy: str) -> RootedSpanningTree:
+    root = int(master.integers(0, graph.n))
+    return gen_spanning_tree(graph, root, _next_seed(master), strategy)
+
+
+def _draw_query(master, tree: RootedSpanningTree, k_max: int) -> set[int]:
+    """Between one and k_max distinct non-root vertices."""
+    k = int(master.integers(1, k_max + 1))
+    return gen_query_set(tree, k, _next_seed(master))
+
+
+def _fail(rep, graph, tree, **payload) -> SweepReport:
+    """Count a mismatch and keep a replayable description of its instance."""
+    rep.mismatches += 1
+    rep.counterexample = {
         "n": graph.n,
         "edges": [[u, v, w] for u, v, w in graph.iter_edges()],
         "root": tree.root,
         "tree_edges": sorted(tree.tree_edge_ids),
+        **payload,
     }
-    body.update(extra)
-    return body
+    return rep
 
 
-def _reweighted(graph: Graph, master: np.random.Generator, high: int = 10) -> Graph:
-    """Same topology with fresh uniform weights in [1, high]."""
-    w = master.integers(1, high + 1, size=graph.m)
-    return Graph.from_arrays(graph.n, graph.edge_u, graph.edge_v, w)
+def _compare(rep, graph, tree, actual, expected, **payload) -> SweepReport | None:
+    """Count one comparison of a value against its reference.  Like every
+    check below, returns rep once it records a mismatch, else None."""
+    rep.comparisons += 1
+    if actual == expected:
+        return None
+    return _fail(rep, graph, tree, **payload, expected=expected, actual=actual)
+
+
+def _check_cut_sizes(rep, graph, tree, table, masks) -> SweepReport | None:
+    """Tree-route cut size against the direct cut size of each vertex set,
+    given as a bitmask over the vertices."""
+    for bits in masks:
+        members = {v for v in range(graph.n) if bits >> v & 1}
+        expected = cut_size_direct(graph, members)
+        actual, basis = cut_size_via_tree(graph, tree, members, table=table)
+        if _compare(
+            rep,
+            graph,
+            tree,
+            actual,
+            expected,
+            vertex_set=sorted(members),
+            basis=sorted(basis),
+            kind="cut_size_via_tree vs cut_size_direct",
+        ):
+            return rep
+    return None
+
+
+def _check_dichotomy(rep, graph, tree, table, members: set[int]) -> SweepReport | None:
+    """Count the set's case; for two or more members, the k-wise value is
+    zero or equals one of the pairwise values over the set."""
+    tag = classify_gamma_case(tree, members).tag.value
+    rep.case_counts[tag] = rep.case_counts.get(tag, 0) + 1
+    if len(members) < 2:
+        return None
+    value = k_wise_gamma(graph, tree, members, table=table)
+    rep.comparisons += 1
+    if value == 0:
+        return None
+    pairs = itertools.combinations(sorted(members), 2)
+    pair_values = {table.pair(x, y) for x, y in pairs}
+    if value in pair_values:
+        return None
+    return _fail(
+        rep,
+        graph,
+        tree,
+        set=sorted(members),
+        actual=value,
+        pairwise=sorted(pair_values),
+        kind="k-wise value neither zero nor any pairwise value",
+    )
+
+
+def _check_identity(rep, graph, tree, members: set[int]) -> SweepReport | None:
+    """The cut of the subtree symmetric difference equals the symmetric
+    difference of the subtree cuts."""
+    rep.comparisons += 1
+    if check_cut_space_identity(graph, tree, members):
+        return None
+    return _fail(rep, graph, tree, set=sorted(members), kind="cut space identity")
 
 
 def exhaustive_cut_sweep(
@@ -82,35 +170,13 @@ def exhaustive_cut_sweep(
     master = _master(seed)
     rep = SweepReport()
     for _ in range(num_graphs):
-        n = int(master.integers(n_lo, n_hi + 1))
-        m = int(master.integers(n - 1, m_max + 1))
-        graph = gen_connected_graph(n, m, _next_seed(master))
-        if weighted:
-            graph = _reweighted(graph, master)
+        graph = _draw_graph(master, n_lo, n_hi, m_max, weighted)
         rep.graphs += 1
         for strategy in strategies:
-            root = int(master.integers(0, n))
-            tree = gen_spanning_tree(graph, root, _next_seed(master), strategy)
-            table = GammaTable(graph, tree)
-            for bits in range(1, (1 << n) - 1):
-                members = {v for v in range(n) if bits >> v & 1}
-                expected = cut_size_direct(graph, members)
-                actual, basis = cut_size_via_tree(
-                    graph, tree, members, table=table
-                )
-                rep.comparisons += 1
-                if actual != expected:
-                    rep.mismatches += 1
-                    rep.counterexample = _payload(
-                        graph,
-                        tree,
-                        vertex_set=sorted(members),
-                        basis=sorted(basis),
-                        expected=expected,
-                        actual=actual,
-                        kind="cut_size_via_tree vs cut_size_direct",
-                    )
-                    return rep
+            tree = _draw_tree(master, graph, strategy)
+            masks = range(1, (1 << graph.n) - 1)
+            if _check_cut_sizes(rep, graph, tree, GammaTable(graph, tree), masks):
+                return rep
     return rep
 
 
@@ -131,57 +197,19 @@ def random_set_sweep(
     master = _master(seed)
     rep = SweepReport()
     for trial in range(trials):
-        n = int(master.integers(3, n_max + 1))
-        m = int(master.integers(n - 1, 2 * n + 1))
-        graph = gen_connected_graph(n, m, _next_seed(master))
-        if weighted:
-            graph = _reweighted(graph, master)
-        root = int(master.integers(0, n))
-        strategy = STRATEGIES[trial % len(STRATEGIES)]
-        tree = gen_spanning_tree(graph, root, _next_seed(master), strategy)
-        k = int(master.integers(1, min(k_max, n - 1) + 1))
-        members = gen_query_set(tree, k, _next_seed(master))
+        graph = _draw_graph(master, 3, n_max, weighted=weighted)
+        tree = _draw_tree(master, graph, STRATEGIES[trial % len(STRATEGIES)])
+        members = _draw_query(master, tree, min(k_max, graph.n - 1))
         table = GammaTable(graph, tree)
         rep.graphs += 1
 
         size = k_respecting_cut_size(graph, tree, members, table=table)
-        materialized = xor_of_subtrees(tree, members)
-        expected = cut_size_direct(graph, materialized)
-        rep.comparisons += 1
-        if size != expected:
-            rep.mismatches += 1
-            rep.counterexample = _payload(
-                graph,
-                tree,
-                set=sorted(members),
-                expected=expected,
-                actual=size,
-                kind="k_respecting_cut_size vs direct cut of xor",
-            )
+        expected = cut_size_direct(graph, xor_of_subtrees(tree, members))
+        kind = "k_respecting_cut_size vs direct cut of xor"
+        if _compare(
+            rep, graph, tree, size, expected, set=sorted(members), kind=kind
+        ) or _check_dichotomy(rep, graph, tree, table, members):
             return rep
-
-        tag = classify_gamma_case(tree, members).tag.value
-        rep.case_counts[tag] = rep.case_counts.get(tag, 0) + 1
-
-        if k >= 2:
-            value = k_wise_gamma(graph, tree, members, table=table)
-            rep.comparisons += 1
-            if value != 0:
-                pair_values = {
-                    table.pair(x, y)
-                    for x, y in itertools.combinations(sorted(members), 2)
-                }
-                if value not in pair_values:
-                    rep.mismatches += 1
-                    rep.counterexample = _payload(
-                        graph,
-                        tree,
-                        set=sorted(members),
-                        actual=value,
-                        pairwise=sorted(pair_values),
-                        kind="k-wise value neither zero nor any pairwise value",
-                    )
-                    return rep
     return rep
 
 
@@ -271,20 +299,13 @@ def case_soundness_sweep(
     """
     master = _master(seed)
     rep = SweepReport()
-    counts = {tag.value: 0 for tag in _CASE_TAGS}
-    rep.case_counts = counts
-    graphs_built = 0
+    counts = rep.case_counts = {tag.value: 0 for tag in _CASE_TAGS}
     while (
         any(counts[tag.value] < per_case for tag in _CASE_TAGS)
-        and graphs_built < max_graphs
+        and rep.graphs < max_graphs
     ):
-        n = int(master.integers(n_lo, n_hi + 1))
-        m = int(master.integers(n - 1, 2 * n + 1))
-        graph = gen_connected_graph(n, m, _next_seed(master))
-        strategy = STRATEGIES[graphs_built % len(STRATEGIES)]
-        root = int(master.integers(0, n))
-        tree = gen_spanning_tree(graph, root, _next_seed(master), strategy)
-        graphs_built += 1
+        graph = _draw_graph(master, n_lo, n_hi)
+        tree = _draw_tree(master, graph, STRATEGIES[rep.graphs % len(STRATEGIES)])
         rep.graphs += 1
         for members in _case_query_candidates(tree, master):
             if len(members) < 3:
@@ -308,18 +329,16 @@ def case_soundness_sweep(
                     graph, tree, members - {case.eliminated}
                 )
             counts[tag.value] += 1
-            rep.comparisons += 1
-            if value != expected:
-                rep.mismatches += 1
-                rep.counterexample = _payload(
-                    graph,
-                    tree,
-                    set=sorted(members),
-                    case=tag.value,
-                    expected=expected,
-                    actual=value,
-                    kind="per-case oracle check",
-                )
+            if _compare(
+                rep,
+                graph,
+                tree,
+                value,
+                expected,
+                set=sorted(members),
+                case=tag.value,
+                kind="per-case oracle check",
+            ):
                 return rep
     return rep
 
@@ -332,21 +351,11 @@ def cut_space_identity_sweep(
     master = _master(seed)
     rep = SweepReport()
     for trial in range(trials):
-        n = int(master.integers(2, n_max + 1))
-        m = int(master.integers(n - 1, 2 * n + 1))
-        graph = gen_connected_graph(n, m, _next_seed(master))
-        root = int(master.integers(0, n))
-        strategy = STRATEGIES[trial % len(STRATEGIES)]
-        tree = gen_spanning_tree(graph, root, _next_seed(master), strategy)
-        k = int(master.integers(1, n))
-        members = gen_query_set(tree, k, _next_seed(master))
+        graph = _draw_graph(master, 2, n_max)
+        tree = _draw_tree(master, graph, STRATEGIES[trial % len(STRATEGIES)])
+        members = _draw_query(master, tree, graph.n - 1)
         rep.graphs += 1
-        rep.comparisons += 1
-        if not check_cut_space_identity(graph, tree, members):
-            rep.mismatches += 1
-            rep.counterexample = _payload(
-                graph, tree, set=sorted(members), kind="cut space identity"
-            )
+        if _check_identity(rep, graph, tree, members):
             return rep
     return rep
 
@@ -371,51 +380,36 @@ def tree_edge_structure_sweep(
     master = _master(seed)
     rep = SweepReport()
     for gi in range(num_graphs):
-        n = int(master.integers(n_lo, n_hi + 1))
-        m = int(master.integers(n - 1, m_max + 1))
-        graph = gen_connected_graph(n, m, _next_seed(master))
-        root = int(master.integers(0, n))
-        strategy = STRATEGIES[gi % len(STRATEGIES)]
-        tree = gen_spanning_tree(graph, root, _next_seed(master), strategy)
+        graph = _draw_graph(master, n_lo, n_hi, m_max)
+        tree = _draw_tree(master, graph, STRATEGIES[gi % len(STRATEGIES)])
         rep.graphs += 1
+        n = graph.n
         tree_ids = tree.tree_edge_ids
-        non_root = [v for v in range(n) if v != root]
+        non_root = [v for v in range(n) if v != tree.root]
 
         for v in non_root:
             crossing = cut_edge_set(graph, tree.subtree_members(v)) & tree_ids
             rep.comparisons += 1
             if crossing != {tree.parent_edge_of(v)}:
-                rep.mismatches += 1
-                rep.counterexample = _payload(
-                    graph, tree, vertex=v, kind="subtree cut tree edges"
-                )
-                return rep
+                return _fail(rep, graph, tree, vertex=v, kind="subtree cut tree edges")
 
         for _ in range(random_sets):
-            k = int(master.integers(1, n))
-            members = gen_query_set(tree, k, _next_seed(master))
-            crossing = (
-                cut_edge_set(graph, xor_of_subtrees(tree, members)) & tree_ids
-            )
-            expected = {tree.parent_edge_of(v) for v in members}
+            members = _draw_query(master, tree, n - 1)
+            crossing = cut_edge_set(graph, xor_of_subtrees(tree, members)) & tree_ids
             rep.comparisons += 1
-            if crossing != expected:
-                rep.mismatches += 1
-                rep.counterexample = _payload(
-                    graph, tree, set=sorted(members), kind="xor cut tree edges"
-                )
-                return rep
+            if crossing != {tree.parent_edge_of(v) for v in members}:
+                kind = "xor cut tree edges"
+                return _fail(rep, graph, tree, set=sorted(members), kind=kind)
 
         everything = set(range(n))
         for bits in range(1, (1 << n) - 1):
             members = {v for v in range(n) if bits >> v & 1}
             basis, complemented = tree.decompose_cut_as_xor_basis(members)
-            back = xor_of_subtrees(tree, basis)
             target = everything - members if complemented else members
             rep.comparisons += 1
-            if back != target:
-                rep.mismatches += 1
-                rep.counterexample = _payload(
+            if xor_of_subtrees(tree, basis) != target:
+                return _fail(
+                    rep,
                     graph,
                     tree,
                     vertex_set=sorted(members),
@@ -423,7 +417,6 @@ def tree_edge_structure_sweep(
                     complemented=complemented,
                     kind="decompose round-trip",
                 )
-                return rep
     return rep
 
 
@@ -439,81 +432,26 @@ def run_selfcheck(n_max: int = 8, trials: int = 200, seed: int = 7) -> SweepRepo
     master = _master(seed)
     rep = SweepReport()
     for trial in range(trials):
-        n = int(master.integers(3, max(3, n_max) + 1))
-        m = int(master.integers(n - 1, 2 * n + 1))
-        graph = gen_connected_graph(n, m, _next_seed(master))
-        root = int(master.integers(0, n))
-        strategy = STRATEGIES[trial % len(STRATEGIES)]
-        tree = gen_spanning_tree(graph, root, _next_seed(master), strategy)
+        graph = _draw_graph(master, 3, max(3, n_max))
+        tree = _draw_tree(master, graph, STRATEGIES[trial % len(STRATEGIES)])
         table = GammaTable(graph, tree)
         rep.graphs += 1
-
+        n = graph.n
         if n <= 8:
             masks = range(1, (1 << n) - 1)
         else:
-            masks = [
-                int(master.integers(1, (1 << n) - 1)) for _ in range(48)
-            ]
-        for bits in masks:
-            members = {v for v in range(n) if bits >> v & 1}
-            if not 0 < len(members) < n:
-                continue
-            expected = cut_size_direct(graph, members)
-            actual, basis = cut_size_via_tree(graph, tree, members, table=table)
-            rep.comparisons += 1
-            if actual != expected:
-                rep.mismatches += 1
-                rep.counterexample = _payload(
-                    graph,
-                    tree,
-                    vertex_set=sorted(members),
-                    basis=sorted(basis),
-                    expected=expected,
-                    actual=actual,
-                    kind="cut_size_via_tree vs cut_size_direct",
-                )
-                return rep
+            masks = [int(master.integers(1, (1 << n) - 1)) for _ in range(48)]
+        if _check_cut_sizes(rep, graph, tree, table, masks):
+            return rep
 
-        k = int(master.integers(1, n))
-        members = gen_query_set(tree, k, _next_seed(master))
-        tag = classify_gamma_case(tree, members).tag.value
-        rep.case_counts[tag] = rep.case_counts.get(tag, 0) + 1
+        members = _draw_query(master, tree, n - 1)
         value = k_wise_gamma(graph, tree, members, table=table)
         expected = oracle_k_wise_gamma(graph, tree, members)
-        rep.comparisons += 1
-        if value != expected:
-            rep.mismatches += 1
-            rep.counterexample = _payload(
-                graph,
-                tree,
-                set=sorted(members),
-                expected=expected,
-                actual=value,
-                kind="k_wise_gamma vs oracle",
-            )
-            return rep
-        if len(members) >= 2 and value != 0:
-            pair_values = {
-                table.pair(x, y)
-                for x, y in itertools.combinations(sorted(members), 2)
-            }
-            rep.comparisons += 1
-            if value not in pair_values:
-                rep.mismatches += 1
-                rep.counterexample = _payload(
-                    graph,
-                    tree,
-                    set=sorted(members),
-                    actual=value,
-                    pairwise=sorted(pair_values),
-                    kind="k-wise value neither zero nor any pairwise value",
-                )
-                return rep
-        rep.comparisons += 1
-        if not check_cut_space_identity(graph, tree, members):
-            rep.mismatches += 1
-            rep.counterexample = _payload(
-                graph, tree, set=sorted(members), kind="cut space identity"
-            )
+        kind = "k_wise_gamma vs oracle"
+        if (
+            _compare(rep, graph, tree, value, expected, set=sorted(members), kind=kind)
+            or _check_dichotomy(rep, graph, tree, table, members)
+            or _check_identity(rep, graph, tree, members)
+        ):
             return rep
     return rep

@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import QueryError, TreeStructureError
-from .graph import Graph, checked_vertex_set
+from .graph import Graph, checked_vertex, checked_vertex_set
 
 
 class RootedSpanningTree:
@@ -141,14 +141,6 @@ class RootedSpanningTree:
     def n(self) -> int:
         return self.graph.n
 
-    def _check_vertex(self, v: int) -> int:
-        v = int(v)
-        if not 0 <= v < self.graph.n:
-            raise QueryError(
-                f"vertex {v} out of range for {self.graph.n} vertices"
-            )
-        return v
-
     def is_descendant(self, u: int, v: int) -> bool:
         """True when u lies in the subtree of v (u == v counts).
 
@@ -170,14 +162,14 @@ class RootedSpanningTree:
 
     def parent_edge_of(self, v: int) -> int:
         """Edge id connecting v to its parent; the root has none."""
-        v = self._check_vertex(v)
+        v = checked_vertex(self.graph, v)
         if v == self.root:
             raise QueryError("the root has no parent edge")
         return self._parent_edge[v]
 
     def subtree_members(self, v: int) -> set[int]:
         """v together with every descendant, walking the child lists."""
-        v = self._check_vertex(v)
+        v = checked_vertex(self.graph, v)
         out: set[int] = set()
         stack = [v]
         while stack:
@@ -188,7 +180,7 @@ class RootedSpanningTree:
 
     def root_path(self, v: int) -> list[int]:
         """Vertices from the root down to v inclusive; length depth(v)+1."""
-        v = self._check_vertex(v)
+        v = checked_vertex(self.graph, v)
         path = []
         while v != -1:
             path.append(v)

@@ -65,6 +65,31 @@ def test_pairwise_gamma_rejects_bad_queries(f1):
         pairwise_gamma(g, t, 1, 7)
 
 
+@pytest.mark.parametrize(
+    "query, named",
+    [
+        (lambda g, t: k_respecting_cut_size(g, t, [1.9, 2]), "1.9"),
+        (lambda g, t: k_respecting_cut_size(g, t, [True, 2]), "True"),
+        (lambda g, t: pairwise_gamma(g, t, 1.5, 2), "1.5"),
+        (lambda g, t: classify_gamma_case(t, ["1", 2, 3]), "'1'"),
+        (lambda g, t: k_wise_gamma(g, t, [np.float64(3.0), 1]), "3.0"),
+    ],
+    ids=["cut-float", "cut-bool", "pair-float", "classify-str", "kwise-np-float"],
+)
+def test_query_vertices_are_not_coerced(f2, query, named):
+    g, t = f2
+    with pytest.raises(QueryError, match="is not an integer") as exc:
+        query(g, t)
+    assert named in str(exc.value)
+
+
+def test_query_vertices_accept_numpy_integers(f2):
+    g, t = f2
+    members = np.array([1, 2], dtype=np.int32)
+    assert k_respecting_cut_size(g, t, members) == k_respecting_cut_size(g, t, [1, 2])
+    assert pairwise_gamma(g, t, np.int64(1), np.uint8(2)) == pairwise_gamma(g, t, 1, 2)
+
+
 def test_classify_base_cases(f1):
     _, t = f1
     assert classify_gamma_case(t, {1}).tag is CaseTag.BASE_SINGLE

@@ -117,8 +117,9 @@ def test_spanning_tree_rejects_bad_inputs():
     with pytest.raises(ValueError):
         gen_spanning_tree(g, 5, seed=0, strategy="bfs")
     disconnected = build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(GraphInputError):
-        gen_spanning_tree(disconnected, 0, seed=0, strategy="bfs")
+    for strategy in STRATEGIES:
+        with pytest.raises(GraphInputError, match="vertex 2 unreachable from 0"):
+            gen_spanning_tree(disconnected, 0, seed=0, strategy=strategy)
 
 
 def test_gen_query_set():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from respecting_cuts.errors import (
     EdgeWeightError,
     EndpointRangeError,
+    GraphInputError,
     QueryError,
     SelfLoopError,
 )
@@ -112,6 +113,18 @@ def test_rejects_empty_vertex_count():
         build_graph(0, [])
 
 
+@pytest.mark.parametrize("n", [2.7, 3.0, np.float64(3), True, np.True_, "3", None])
+def test_rejects_coerced_vertex_count(n):
+    with pytest.raises(GraphInputError, match="vertex count"):
+        build_graph(n, [(0, 1)])
+
+
+def test_accepts_numpy_vertex_count():
+    for n in (np.int32(3), np.int64(3), np.uint16(3)):
+        g = build_graph(n, [(0, 1), (1, 2)])
+        assert g.n == 3 and type(g.n) is int
+
+
 def test_cut_edge_set_triangle(f1):
     g, _ = f1
     assert cut_edge_set(g, {1, 2}) == {0, 2}
@@ -130,6 +143,10 @@ def test_cut_rejects_bad_vertex(f1):
     g, _ = f1
     with pytest.raises(QueryError):
         cut_edge_set(g, {0, 5})
+    for bad in (1.5, 1.0, True, "1", None):
+        with pytest.raises(QueryError, match="is not an integer"):
+            cut_size_direct(g, [0, bad])
+    assert cut_size_direct(g, np.array([1, 2])) == cut_size_direct(g, {1, 2})
 
 
 def test_arrays_are_frozen(f1):

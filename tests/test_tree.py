@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,19 @@ def test_subtree_members(f1):
     assert t.subtree_members(0) == {0, 1, 2}
     assert t.subtree_members(1) == {1, 2}
     assert t.subtree_members(2) == {2}
+
+
+def test_tree_queries_reject_coerced_vertices(f1):
+    _, t = f1
+    for query in (
+        lambda: t.subtree_members(1.0),
+        lambda: t.root_path(True),
+        lambda: t.parent_edge_of("2"),
+        lambda: t.decompose_cut_as_xor_basis({1.5}),
+    ):
+        with pytest.raises(QueryError, match="is not an integer"):
+            query()
+    assert t.subtree_members(np.int64(1)) == {1, 2}
 
 
 def test_descendant_and_independent(f1, f2):
