@@ -57,45 +57,55 @@ def _max_k_from_env() -> int | None:
 
 def _parse_graph_file(path: str) -> Graph:
     """Read the edge-list format: first significant line "n m", then m
-    lines "u v [w]" with weight defaulting to 1.  '#' starts a comment."""
+    lines "u v [w]" with weight defaulting to 1.  '#' starts a comment.
+
+    Lines are read one at a time straight into endpoint and weight
+    lists, so the file's text and split fields are never all held at
+    once.  A malformed edge line is reported only after the header and
+    the edge count check out."""
+    header = None
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[int] = []
+    found = 0
+    bad = None
     with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    rows: list[list[str]] = []
-    for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        rows.append([str(lineno)] + body.split())
-    if not rows:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split("#", 1)[0].split()
+            if not fields:
+                continue
+            if header is None:
+                header = (lineno, fields)
+                continue
+            found += 1
+            if bad is not None:
+                continue
+            if len(fields) not in (2, 3):
+                bad = f"{path}:{lineno}: edge line must be 'u v' or 'u v w'"
+                continue
+            try:
+                u, v = int(fields[0]), int(fields[1])
+                w = int(fields[2]) if len(fields) == 3 else 1
+            except ValueError:
+                bad = f"{path}:{lineno}: edge fields must be integers"
+                continue
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
+    if header is None:
         raise ValueError(f"{path}: no content lines")
-    header = rows[0]
-    if len(header) != 3:
-        raise ValueError(
-            f"{path}:{header[0]}: header must be two integers 'n m'"
-        )
+    lineno, fields = header
+    if len(fields) != 2:
+        raise ValueError(f"{path}:{lineno}: header must be two integers 'n m'")
     try:
-        n, m = int(header[1]), int(header[2])
+        n, m = int(fields[0]), int(fields[1])
     except ValueError:
-        raise ValueError(f"{path}:{header[0]}: header must be integers")
-    body_rows = rows[1:]
-    if len(body_rows) != m:
-        raise ValueError(
-            f"{path}: header declares {m} edges, found {len(body_rows)}"
-        )
-    edges = []
-    for row in body_rows:
-        lineno, fields = row[0], row[1:]
-        if len(fields) not in (2, 3):
-            raise ValueError(
-                f"{path}:{lineno}: edge line must be 'u v' or 'u v w'"
-            )
-        try:
-            u, v = int(fields[0]), int(fields[1])
-            w = int(fields[2]) if len(fields) == 3 else 1
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: edge fields must be integers")
-        edges.append((u, v, w))
-    return build_graph(n, edges)
+        raise ValueError(f"{path}:{lineno}: header must be integers")
+    if found != m:
+        raise ValueError(f"{path}: header declares {m} edges, found {found}")
+    if bad is not None:
+        raise ValueError(bad)
+    return build_graph(n, zip(us, vs, ws))
 
 
 def _parse_int_list(text: str) -> list[int]:

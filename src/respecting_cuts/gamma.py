@@ -285,22 +285,30 @@ class GammaTable:
 
     def single(self, v: int) -> int:
         """Cut size of the subtree of v."""
+        (v,) = _validated_members(self.tree, (v,))
+        return self._single(v)
+
+    def pair(self, x: int, y: int) -> int:
+        """Intersection size of the subtree cuts of x and y."""
+        mem = _validated_members(self.tree, (x, y))
+        if len(mem) != 2:
+            raise QueryError("pairwise query needs two distinct vertices")
+        return self._pair(mem[0], mem[1])
+
+    # The lookups below take vertices already validated by the caller.
+
+    def _single(self, v: int) -> int:
         val = self._singles.get(v)
         if val is None:
-            (v,) = _validated_members(self.tree, (v,))
             tin_u, tin_v = self._gathers()
             val = _single_value(self.graph, self.tree, v, tin_u, tin_v)
             self._singles[v] = val
         return val
 
-    def pair(self, x: int, y: int) -> int:
-        """Intersection size of the subtree cuts of x and y."""
+    def _pair(self, x: int, y: int) -> int:
         key = (x, y) if x < y else (y, x)
         val = self._pairs.get(key)
         if val is None:
-            mem = _validated_members(self.tree, key)
-            if len(mem) != 2:
-                raise QueryError("pairwise query needs two distinct vertices")
             tin_u, tin_v = self._gathers()
             val = _pair_value(
                 self.graph, self.tree, key[0], key[1], tin_u, tin_v
@@ -340,11 +348,11 @@ def k_wise_gamma(
         if tag is CaseTag.CASE4_ELIMINABLE:
             mem.remove(case.eliminated)
         elif tag is CaseTag.BASE_SINGLE:
-            return tab.single(mem[0])
+            return tab._single(mem[0])
         elif tag is CaseTag.BASE_PAIR:
-            return tab.pair(mem[0], mem[1])
+            return tab._pair(mem[0], mem[1])
         elif tag is CaseTag.CASE2_CHAIN:
-            return tab.pair(*case.pair)
+            return tab._pair(*case.pair)
         else:
             return 0
 
@@ -374,11 +382,11 @@ def k_respecting_cut_size(
     # Bit j of above[i] is set when mem[j] is mem[i] or an ancestor of it,
     # so above[i] ^ above[j] marks the members on the path from i to j.
     above = [sum(1 << j for j, z in enumerate(mem) if desc(x, z)) for x in mem]
-    total = sum(tab.single(v) for v in mem)
+    total = sum(tab._single(v) for v in mem)
     for i in range(len(mem)):
         for j in range(i + 1, len(mem)):
             inside = (above[i] ^ above[j]) & ~((1 << i) | (1 << j))
-            value = 2 * tab.pair(mem[i], mem[j])
+            value = 2 * tab._pair(mem[i], mem[j])
             total += value if inside.bit_count() % 2 else -value
     if total < 0:
         raise ArithmeticError(f"pair identity gave a negative cut {total}")

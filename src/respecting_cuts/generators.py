@@ -8,13 +8,11 @@ split child streams, so outputs are reproducible for a given seed.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .errors import GraphInputError, QueryError
-from .graph import Graph
-from .tree import RootedSpanningTree, build_rooted_tree
+from .graph import Graph, _preorder
+from .tree import RootedSpanningTree, _checked_root, build_rooted_tree
 
 STRATEGIES = ("bfs", "dfs", "uniform")
 
@@ -106,62 +104,32 @@ def gen_connected_graph(n: int, target_m: int, seed: int) -> Graph:
     return Graph.from_arrays(n, us, vs, [1] * target_m)
 
 
-def _spanning_ids(ids: set[int], seen: list[bool], root: int) -> set[int]:
-    """The tree edge ids of a traversal from root, which must have seen
-    every vertex."""
-    if len(ids) != len(seen) - 1:
-        missing = seen.index(False)
-        raise GraphInputError(
-            f"graph is disconnected: vertex {missing} unreachable from {root}"
-        )
-    return ids
-
-
-def _bfs_tree_ids(graph: Graph, root: int) -> set[int]:
-    adj = graph.adjacency
+def _bfs_tree_ids(graph: Graph, root: int) -> tuple[set[int], list[int]]:
+    offsets, nbrs, eids = map(memoryview, graph.adjacency)
     seen = [False] * graph.n
     seen[root] = True
-    queue = deque([root])
+    queue = [root]
     ids: set[int] = set()
-    while queue:
-        v = queue.popleft()
-        for w, eid in adj[v]:
+    for v in queue:  # the loop also visits what it appends
+        for i in range(offsets[v], offsets[v + 1]):
+            w = nbrs[i]
             if not seen[w]:
                 seen[w] = True
-                ids.add(eid)
+                ids.add(eids[i])
                 queue.append(w)
-    return _spanning_ids(ids, seen, root)
+    return ids, queue
 
 
-def _dfs_tree_ids(graph: Graph, root: int) -> set[int]:
-    adj = graph.adjacency
-    seen = [False] * graph.n
-    seen[root] = True
-    ids: set[int] = set()
-    stack: list[tuple[int, int]] = [(root, 0)]
-    cursor = [0] * graph.n
-    while stack:
-        v, _ = stack[-1]
-        advanced = False
-        while cursor[v] < len(adj[v]):
-            w, eid = adj[v][cursor[v]]
-            cursor[v] += 1
-            if not seen[w]:
-                seen[w] = True
-                ids.add(eid)
-                stack.append((w, 0))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-    return _spanning_ids(ids, seen, root)
+def _dfs_tree_ids(graph: Graph, root: int) -> tuple[set[int], list[int]]:
+    _, parent_edge, order = _preorder(graph.adjacency, root)
+    return {parent_edge[v] for v in order[1:]}, order
 
 
 def _wilson_tree_ids(
     graph: Graph, root: int, rng: np.random.Generator
 ) -> set[int]:
     """Uniform spanning tree of the graph itself, walking incident edges."""
-    adj = graph.adjacency
+    offsets, nbrs, eids = map(memoryview, graph.adjacency)
     n = graph.n
     in_tree = [False] * n
     in_tree[root] = True
@@ -172,12 +140,11 @@ def _wilson_tree_ids(
     for start in range(n):
         u = start
         while not in_tree[u]:
-            inc = adj[u]
-            idx = int(len(inc) * (floats.take() / scale))
-            w, eid = inc[idx]
-            succ_vertex[u] = w
-            succ_edge[u] = eid
-            u = w
+            lo = offsets[u]
+            i = lo + int((offsets[u + 1] - lo) * (floats.take() / scale))
+            succ_vertex[u] = nbrs[i]
+            succ_edge[u] = eids[i]
+            u = nbrs[i]
         u = start
         while not in_tree[u]:
             in_tree[u] = True
@@ -191,23 +158,24 @@ def gen_spanning_tree(
     """Spanning tree of a connected graph, rooted at root.
 
     Strategies: "bfs" and "dfs" traverse deterministically with
-    neighbors in ascending (vertex, edge id) order and ignore the seed;
-    "uniform" runs a loop-erased random walk over the graph's edges,
-    uniform over all its spanning trees.
+    neighbours in the ascending (vertex, edge id) order of the CSR
+    ``graph.adjacency`` and ignore the seed; "uniform" runs a loop-erased
+    random walk over the same incidence, uniform over all spanning trees.
+    A root that is not an integer vertex id raises TreeStructureError.
     """
     if strategy not in STRATEGIES:
         raise ValueError(
             f"unknown strategy {strategy!r}, expected one of {STRATEGIES}"
         )
-    root = int(root)
-    if not 0 <= root < graph.n:
-        raise ValueError(f"root {root} out of range for {graph.n} vertices")
-    if strategy == "bfs":
-        ids = _bfs_tree_ids(graph, root)
-    elif strategy == "dfs":
-        ids = _dfs_tree_ids(graph, root)
-    else:
-        _bfs_tree_ids(graph, root)  # the walk below never ends on a disconnected graph
+    root = _checked_root(graph, root)
+    traverse = _dfs_tree_ids if strategy == "dfs" else _bfs_tree_ids
+    ids, reached = traverse(graph, root)
+    if len(reached) != graph.n:
+        missing = min(set(range(graph.n)).difference(reached))
+        raise GraphInputError(
+            f"graph is disconnected: vertex {missing} unreachable from {root}"
+        )
+    if strategy == "uniform":  # the walk would never end on a disconnected graph
         rng = _generator(np.random.SeedSequence(seed))
         ids = _wilson_tree_ids(graph, root, rng)
     return build_rooted_tree(graph, ids, root)

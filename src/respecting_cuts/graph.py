@@ -141,16 +141,63 @@ class Graph:
         )
 
     @cached_property
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex incidence lists of (neighbor, edge id), sorted."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        us, vs, _ = self._edge_lists
-        for eid, (a, b) in enumerate(zip(us, vs)):
-            adj[a].append((b, eid))
-            adj[b].append((a, eid))
-        for lst in adj:
-            lst.sort()
-        return adj
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Incidence of every vertex as a CSR triple (offsets, neighbours,
+        edge ids): the edges at v are positions offsets[v]:offsets[v + 1],
+        sorted by (neighbour, edge id)."""
+        csr = _incidence(self.n, self.edge_u, self.edge_v, np.arange(self.m))
+        for arr in csr:
+            arr.setflags(write=False)
+        return csr
+
+
+def _incidence(
+    n: int, u: np.ndarray, v: np.ndarray, edge_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR incidence of the edges edge_ids with endpoints u, v on n
+    vertices; each edge appears at both endpoints, and the entries of a
+    vertex are sorted by (neighbour, edge id)."""
+    src = np.concatenate((u, v))
+    dst = np.concatenate((v, u))
+    ids = np.concatenate((edge_ids, edge_ids))
+    by_vertex = np.lexsort((ids, dst, src))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst[by_vertex], ids[by_vertex]
+
+
+def _preorder(
+    incidence: tuple[np.ndarray, np.ndarray, np.ndarray], root: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Iterative depth-first traversal from root over a CSR incidence,
+    taking each vertex's entries in stored order.  Returns the lists
+    (parent, parent edge, preorder) over the vertices reached; parent and
+    parent edge are -1 at the root and at every vertex not reached."""
+    offsets, nbrs, eids = map(memoryview, incidence)
+    n = len(offsets) - 1
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    seen = [False] * n
+    seen[root] = True
+    order = [root]
+    cursor = offsets.tolist()[:-1]
+    v = root  # the parent links are the traversal stack
+    while v != -1:
+        i = cursor[v]
+        end = offsets[v + 1]
+        while i < end and seen[nbrs[i]]:
+            i += 1
+        if i == end:
+            v = parent[v]
+            continue
+        cursor[v] = i + 1
+        w = nbrs[i]
+        seen[w] = True
+        parent[w] = v
+        parent_edge[w] = eids[i]
+        order.append(w)
+        v = w
+    return parent, parent_edge, order
 
 
 def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:

@@ -1,7 +1,10 @@
 """Rooted spanning tree with constant-time ancestry tests.
 
-One depth-first traversal from the root fills the parent, parent-edge,
-depth and discovery/finish tables.  Discovery intervals give O(1)
+Every table comes from one depth-first preorder of the tree edges, run
+by the graph module's traversal (the one the ``dfs`` strategy runs on
+the whole graph): discovery index = preorder position, one forward pass
+for depth and child lists, one reversed pass for subtree sizes, and
+finish index = discovery + size - 1.  Discovery intervals give O(1)
 subtree membership: u lies in the subtree of v exactly when
 euler_in(v) <= euler_in(u) <= euler_out(v).
 """
@@ -13,7 +16,14 @@ from typing import Iterable
 import numpy as np
 
 from .errors import QueryError, TreeStructureError
-from .graph import Graph, checked_vertex, checked_vertex_set
+from .graph import (
+    Graph,
+    _incidence,
+    _is_integer,
+    _preorder,
+    checked_vertex,
+    checked_vertex_set,
+)
 
 
 class RootedSpanningTree:
@@ -24,24 +34,28 @@ class RootedSpanningTree:
     * ``parent`` / ``parent_edge``: parent vertex and connecting edge id,
       -1 at the root
     * ``depth``: edge distance from the root
-    * ``euler_in`` / ``euler_out``: discovery index and largest discovery
-      index inside the subtree, from one depth-first traversal that visits
-      children in ascending vertex order
+    * ``euler_in`` / ``euler_out``: position in the preorder and largest
+      position inside the subtree; the preorder visits children in
+      ascending vertex order
     * ``children``: child lists, each sorted ascending
     * ``order``: the depth-first preorder itself
     * ``tree_edge_ids``: frozenset of the n-1 edge ids forming the tree
 
-    Instances never mutate after construction.
+    The root and the tree edge ids must be integers (Python or numpy,
+    not bools); anything else is refused with TreeStructureError rather
+    than converted.  Instances never mutate after construction.
     """
 
     def __init__(self, graph: Graph, tree_edge_ids: Iterable[int], root: int):
         n = graph.n
-        root = int(root)
-        if not 0 <= root < n:
-            raise TreeStructureError(
-                f"root {root} out of range for {n} vertices"
-            )
-        ids = sorted({int(e) for e in tree_edge_ids})
+        root = _checked_root(graph, root)
+        listed = list(tree_edge_ids)
+        for eid in listed:
+            if type(eid) is not int and not _is_integer(eid):
+                raise TreeStructureError(
+                    f"tree edge id {eid!r} is not an integer"
+                )
+        ids = sorted(set(map(int, listed)))
         if len(ids) != n - 1:
             raise TreeStructureError(
                 f"a spanning tree of {n} vertices needs {n - 1} distinct "
@@ -53,89 +67,45 @@ class RootedSpanningTree:
                     f"tree edge id {eid} out of range for {graph.m} edges"
                 )
 
-        us, vs, _ = graph._edge_lists
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid in ids:
-            a, b = us[eid], vs[eid]
-            adj[a].append((b, eid))
-            adj[b].append((a, eid))
-        for lst in adj:
-            lst.sort()
-
-        parent = [-1] * n
-        parent_edge = [-1] * n
-        depth = [0] * n
-        tin = [0] * n
-        tout = [0] * n
-        children: list[list[int]] = [[] for _ in range(n)]
-        order = [root]
-        visited = [False] * n
-        visited[root] = True
-        cursor = [0] * n
-        stack = [root]
-        clock = 1
-        while stack:
-            v = stack[-1]
-            advanced = False
-            while cursor[v] < len(adj[v]):
-                w, eid = adj[v][cursor[v]]
-                cursor[v] += 1
-                if visited[w]:
-                    continue
-                visited[w] = True
-                parent[w] = v
-                parent_edge[w] = eid
-                depth[w] = depth[v] + 1
-                children[v].append(w)
-                tin[w] = clock
-                clock += 1
-                order.append(w)
-                stack.append(w)
-                advanced = True
-                break
-            if not advanced:
-                tout[v] = clock - 1
-                stack.pop()
-        if clock != n:
-            missing = visited.index(False)
+        edges = np.array(ids, dtype=np.int64)
+        parent, parent_edge, order = _preorder(
+            _incidence(n, graph.edge_u[edges], graph.edge_v[edges], edges), root
+        )
+        if len(order) != n:
+            missing = min(set(range(n)).difference(order))
             raise TreeStructureError(
                 f"tree edges do not span the graph: vertex {missing} is "
                 f"unreachable from root {root}"
             )
-
-        edge_child = [-1] * graph.m
-        for v in range(n):
-            if v != root:
-                edge_child[parent_edge[v]] = v
+        depth = [0] * n
+        children: list[list[int]] = [[] for _ in range(n)]
+        for v in order[1:]:
+            p = parent[v]
+            depth[v] = depth[p] + 1
+            children[p].append(v)
+        size = [1] * n
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        tin = np.empty(n, dtype=np.int64)
+        tin[order] = np.arange(n)
 
         self.graph = graph
         self.root = root
         self.tree_edge_ids = frozenset(ids)
         self.children = children
-        self.parent = np.array(parent, dtype=np.int64)
-        self.parent_edge = np.array(parent_edge, dtype=np.int64)
-        self.depth = np.array(depth, dtype=np.int64)
-        self.euler_in = np.array(tin, dtype=np.int64)
-        self.euler_out = np.array(tout, dtype=np.int64)
-        self.order = np.array(order, dtype=np.int64)
-        for arr in (
-            self.parent,
-            self.parent_edge,
-            self.depth,
-            self.euler_in,
-            self.euler_out,
-            self.order,
-        ):
-            arr.setflags(write=False)
+        self.parent = _frozen(parent)
+        self.parent_edge = _frozen(parent_edge)
+        self.depth = _frozen(depth)
+        self.euler_in = _frozen(tin)
+        self.euler_out = _frozen(tin + np.array(size) - 1)
+        self.order = _frozen(order)
         # Plain-list twins for scalar-heavy paths; numpy scalar indexing is
         # an order of magnitude slower than list indexing.
         self._parent = parent
-        self._parent_edge = parent_edge
         self._depth = depth
-        self._tin = tin
-        self._tout = tout
+        self._tin = tin.tolist()
+        self._tout = self.euler_out.tolist()
         self._order = order
-        self._edge_child = edge_child
 
     @property
     def n(self) -> int:
@@ -165,7 +135,7 @@ class RootedSpanningTree:
         v = checked_vertex(self.graph, v)
         if v == self.root:
             raise QueryError("the root has no parent edge")
-        return self._parent_edge[v]
+        return int(self.parent_edge[v])
 
     def subtree_members(self, v: int) -> set[int]:
         """v together with every descendant, walking the child lists."""
@@ -205,12 +175,26 @@ class RootedSpanningTree:
                 "vertex set must be a proper nonempty subset of the vertices"
             )
         par = self._parent
-        basis = set()
-        for eid in self.tree_edge_ids:
-            c = self._edge_child[eid]
-            if (c in inside) != (par[c] in inside):
-                basis.add(c)
+        basis = {
+            c
+            for c in self._order[1:]
+            if (c in inside) != (par[c] in inside)
+        }
         return basis, (self.root in inside)
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _checked_root(graph: Graph, root) -> int:
+    """A root vertex id as a plain int, checked as query vertices are."""
+    try:
+        return checked_vertex(graph, root)
+    except QueryError as exc:
+        raise TreeStructureError(f"root: {exc}") from None
 
 
 def build_rooted_tree(

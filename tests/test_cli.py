@@ -174,6 +174,27 @@ def test_bad_graph_files_exit_two(capsys, tmp_path, content):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("# only a comment\n\n", ": no content lines"),
+        ("3\n0 1\n", ":1: header must be two integers 'n m'"),
+        ("# c\n3 x\n0 1\n", ":2: header must be integers"),
+        # the edge count is checked before any edge line
+        ("3 3\n0 1\n0 1 2 3\n", ": header declares 3 edges, found 2"),
+        ("3 3\n0 1\n\n0 1 2 3\n1 x\n", ":4: edge line must be 'u v' or 'u v w'"),
+        ("3 3\n0 1 # ok\n1 x\n0 1 2 3\n", ":3: edge fields must be integers"),
+    ],
+)
+def test_bad_graph_file_messages(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.g"
+    path.write_text(content)
+    code, out, err = run(capsys, "delta", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}{message}\n"
+
+
 def test_graph_file_comments_and_weights(capsys, tmp_path):
     path = tmp_path / "weighted.g"
     path.write_text("# header\n3 3\n0 1 5\n1 2 4\n# chord\n0 2 2\n")

@@ -178,6 +178,21 @@ def test_gamma_table_caches_consistently(f3):
     sizes = all_subtree_cut_sizes(g, t)
     for v in (1, 2, 3):
         assert table.single(v) == sizes[v]
+    # A warm cache validates as a cold one does.
+    for bad in (
+        lambda: table.pair(1.0, 2),
+        lambda: table.pair(True, 2),
+        lambda: table.pair(2, "1"),
+        lambda: table.single(1.0),
+        lambda: table.single(True),
+    ):
+        with pytest.raises(QueryError, match="is not an integer"):
+            bad()
+    with pytest.raises(QueryError, match="duplicate"):
+        table.pair(2, 2)
+    with pytest.raises(QueryError, match="root"):
+        table.single(0)
+    assert table.pair(np.int64(1), np.int64(2)) == pairwise_gamma(g, t, 1, 2)
 
 
 def test_table_refuses_a_foreign_graph_or_tree():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from respecting_cuts.errors import GraphInputError, QueryError
+from respecting_cuts.errors import GraphInputError, QueryError, TreeStructureError
 from respecting_cuts.generators import (
     STRATEGIES,
     gen_connected_graph,
@@ -16,11 +16,15 @@ from respecting_cuts.graph import build_graph
 
 
 def bfs_distances(graph, root):
+    nbrs = [[] for _ in range(graph.n)]
+    for a, b in zip(graph.edge_u.tolist(), graph.edge_v.tolist()):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     dist = {root: 0}
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v, _ in graph.adjacency[u]:
+        for v in nbrs[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -116,6 +120,11 @@ def test_spanning_tree_rejects_bad_inputs():
         gen_spanning_tree(g, 0, seed=0, strategy="prim")
     with pytest.raises(ValueError):
         gen_spanning_tree(g, 5, seed=0, strategy="bfs")
+    for root in (1.7, 1.0, True, "1"):
+        for strategy in STRATEGIES:
+            with pytest.raises(TreeStructureError, match=f"root: vertex {root!r} "):
+                gen_spanning_tree(g, root, seed=0, strategy=strategy)
+    assert gen_spanning_tree(g, np.int64(1), seed=0, strategy="dfs").root == 1
     disconnected = build_graph(4, [(0, 1), (2, 3)])
     for strategy in STRATEGIES:
         with pytest.raises(GraphInputError, match="vertex 2 unreachable from 0"):

@@ -212,4 +212,12 @@ def test_cut_matches_handcount_exhaustive():
 
 def test_adjacency_sorted():
     g = build_graph(3, [(2, 0, 1), (0, 1, 1), (1, 0, 1)])
-    assert g.adjacency[0] == [(1, 1), (1, 2), (2, 0)]
+    offsets, nbrs, eids = g.adjacency
+    assert not any(a.flags.writeable for a in g.adjacency)
+    assert offsets.tolist() == [0, 3, 5, 6]
+    at_0 = slice(offsets[0], offsets[1])
+    assert list(zip(nbrs[at_0].tolist(), eids[at_0].tolist())) == [
+        (1, 1),
+        (1, 2),
+        (2, 0),
+    ]

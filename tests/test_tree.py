@@ -1,3 +1,7 @@
+import hashlib
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +9,7 @@ from hypothesis import strategies as st
 
 from respecting_cuts.errors import QueryError, TreeStructureError
 from respecting_cuts.generators import gen_connected_graph, gen_spanning_tree
-from respecting_cuts.graph import build_graph, cut_edge_set
+from respecting_cuts.graph import Graph, build_graph, cut_edge_set
 from respecting_cuts.oracle import xor_of_subtrees
 from respecting_cuts.tree import build_rooted_tree
 
@@ -88,6 +92,23 @@ def test_bad_root_rejected(f1):
     g, _ = f1
     with pytest.raises(TreeStructureError):
         build_rooted_tree(g, {0, 1}, 3)
+    # Roots and tree edge ids are checked, not converted.
+    for tree_ids, root, shown in (
+        ({0, 1}, 0.0, "root: vertex 0.0 "),
+        ({0, 1}, True, "root: vertex True "),
+        ({0, 1}, "0", "root: vertex '0' "),
+        ([0.9, True], 0.5, "root: vertex 0.5 "),
+        ([0.9, True], 0, "tree edge id 0.9 "),
+        ([0, True], 0, "tree edge id True "),
+        ([0, 1.0], 0, "tree edge id 1.0 "),
+        (["0", 1], 0, "tree edge id '0' "),
+    ):
+        with pytest.raises(TreeStructureError, match=re.escape(shown)):
+            build_rooted_tree(g, tree_ids, root)
+    t = build_rooted_tree(g, np.array([1, 0]), np.int64(2))
+    assert t.root == 2 and type(t.root) is int
+    assert t.tree_edge_ids == {0, 1}
+    assert all(type(e) is int for e in t.tree_edge_ids)
 
 
 def test_decompose_examples(f1):
@@ -178,3 +199,66 @@ def test_decompose_round_trip(inst, salt):
     assert complemented == (tree.root in members)
     crossing = cut_edge_set(graph, members) & tree.tree_edge_ids
     assert crossing == {tree.parent_edge_of(v) for v in basis}
+
+
+def _weighted_multigraph():
+    base = gen_connected_graph(60, 150, seed=4)
+    rng = np.random.default_rng(5)
+    dup = rng.integers(0, base.m, size=40)  # parallel copies, reversed
+    u = np.concatenate([base.edge_u, base.edge_v[dup]])
+    v = np.concatenate([base.edge_v, base.edge_u[dup]])
+    return Graph.from_arrays(60, u, v, rng.integers(1, 50, size=u.size))
+
+
+def _tree_digest(tree):
+    tables = [sorted(tree.tree_edge_ids)]
+    for name in ("parent", "parent_edge", "depth", "euler_in", "euler_out", "order"):
+        tables.append(getattr(tree, name).tolist())
+    tables.append(tree.children)
+    return hashlib.sha256(json.dumps(tables).encode()).hexdigest()[:16]
+
+
+# Digests of every tree table, recorded before the tree and the traversals
+# moved onto the shared CSR incidence and preorder.
+PINNED_TREES = {
+    "g30-bfs": "a481bbc6fe1d4b91",
+    "g30-dfs": "5f5143139274e38f",
+    "g30-uniform": "f0a4c90f96e867d7",
+    "g200-bfs": "e5a978349ed1ce55",
+    "g200-dfs": "8ca0dbd58920dfb2",
+    "g200-uniform": "079d4ad13bbe651d",
+    "g1000-bfs": "6fa1045e525deefa",
+    "g1000-dfs": "9c1490f554f43fdb",
+    "g1000-uniform": "377446774ad26ede",
+    "multi-bfs": "8924f4e85bd763e9",
+    "multi-dfs": "0fad0ab7563ccd99",
+    "multi-uniform": "3b54236357a9a0c9",
+}
+
+
+def test_trees_are_pinned():
+    graphs = {
+        "g30": gen_connected_graph(30, 80, seed=1),
+        "g200": gen_connected_graph(200, 600, seed=2),
+        "g1000": gen_connected_graph(1000, 3000, seed=3),
+        "multi": _weighted_multigraph(),
+    }
+    digests = {
+        f"{name}-{strategy}": _tree_digest(gen_spanning_tree(g, 7, 11, strategy))
+        for name, g in graphs.items()
+        for strategy in ("bfs", "dfs", "uniform")
+    }
+    assert digests == PINNED_TREES
+
+
+def test_deep_dfs_tree():
+    # Depth close to n: the shared preorder must not recurse.
+    n = 20_000
+    tree = gen_spanning_tree(gen_connected_graph(n, 5 * n, seed=0), 0, 0, "dfs")
+    assert tree.depth.max() > n // 2
+    assert tree.euler_in[tree.order].tolist() == list(range(n))
+    size = tree.euler_out - tree.euler_in + 1
+    assert size[tree.root] == n
+    kids = np.zeros(n, dtype=np.int64)
+    np.add.at(kids, tree.parent[tree.order[1:]], size[tree.order[1:]])
+    assert np.array_equal(size, kids + 1)
