@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when a verification run finds a mismatch,
 2 on any input problem.  Output bytes are identical for identical
-inputs and seeds (bench timings excepted, they measure wall time).
+inputs and seeds.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from collections import deque
 
 from .errors import (
@@ -22,7 +21,6 @@ from .errors import (
 )
 from .gamma import (
     CaseTag,
-    GammaTable,
     all_subtree_cut_sizes,
     classify_gamma_case,
     cut_size_via_tree,
@@ -30,7 +28,7 @@ from .gamma import (
     k_wise_gamma,
     pairwise_gamma,
 )
-from .generators import STRATEGIES, gen_connected_graph, gen_query_set, gen_spanning_tree
+from .generators import STRATEGIES, gen_spanning_tree
 from .graph import Graph, build_graph
 from .selfcheck import run_selfcheck
 from .tree import build_rooted_tree
@@ -211,19 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=7)
 
-    p = sub.add_parser("bench", help="wall-time measurements")
-    p.add_argument("--graph", help="edge-list file (default: generated)")
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--m", type=int, default=50_000)
-    p.add_argument(
-        "--tree",
-        default="bfs",
-        help="bfs|dfs|uniform, an inline 'u,v;u,v;...' edge list, or @file",
-    )
-    p.add_argument("--root", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=32, help="pairwise queries")
-    p.add_argument("--k", type=int, default=10, help="query set size")
     return parser
 
 
@@ -301,65 +286,12 @@ def _cmd_selfcheck(args, max_k) -> int:
     return 0
 
 
-def _cmd_bench(args, max_k) -> int:
-    if args.graph:
-        graph = _parse_graph_file(args.graph)
-    else:
-        graph = gen_connected_graph(args.n, args.m, args.seed)
-    t0 = time.perf_counter()
-    tree = _resolve_tree(graph, args.tree, args.root, args.seed)
-    build_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    all_subtree_cut_sizes(graph, tree)
-    delta_s = time.perf_counter() - t0
-
-    non_root = [v for v in range(graph.n) if v != tree.root]
-    pair_times = []
-    if len(non_root) >= 2 and args.pairs > 0:
-        for i in range(args.pairs):
-            members = gen_query_set(tree, 2, args.seed + 1 + i)
-            x, y = sorted(members)
-            t0 = time.perf_counter()
-            pairwise_gamma(graph, tree, x, y)
-            pair_times.append(time.perf_counter() - t0)
-
-    k = min(args.k, len(non_root))
-    kwise_s = None
-    if k >= 1:
-        members = gen_query_set(tree, k, args.seed)
-        table = GammaTable(graph, tree)
-        t0 = time.perf_counter()
-        k_respecting_cut_size(graph, tree, members, table=table, max_k=max_k)
-        kwise_s = time.perf_counter() - t0
-
-    out = {
-        "n": graph.n,
-        "m": graph.m,
-        "seed": args.seed,
-        "tree": args.tree,
-        "build_tree_s": round(build_s, 6),
-        "all_subtree_cut_sizes_s": round(delta_s, 6),
-    }
-    if pair_times:
-        out["pairwise_gamma_s"] = {
-            "queries": len(pair_times),
-            "mean": round(sum(pair_times) / len(pair_times), 6),
-            "max": round(max(pair_times), 6),
-        }
-    if kwise_s is not None:
-        out["k_respecting_s"] = {"k": k, "time": round(kwise_s, 6)}
-    _emit(out)
-    return 0
-
-
 _COMMANDS = {
     "delta": _cmd_delta,
     "gamma": _cmd_gamma,
     "cutsize": _cmd_cutsize,
     "decompose": _cmd_decompose,
     "selfcheck": _cmd_selfcheck,
-    "bench": _cmd_bench,
 }
 
 

@@ -5,8 +5,8 @@ edges expands, by inclusion-exclusion, into an alternating sum of
 intersection sizes of subtree cuts.  Three facts make that sum cheap:
 
 * the intersection size of two subtree cuts falls out of one O(m) pass
-  over the edges, driven by whether the two subtrees nest or are
-  disjoint;
+  over the edges: an edge counts exactly when it crosses both cuts,
+  whether the two subtrees nest or are disjoint;
 * for three or more subtrees, the ancestor structure of the query set
   collapses the intersection either to zero or to a single pairwise
   value (the four-way classification below), so the whole sum folds
@@ -15,8 +15,9 @@ intersection sizes of subtree cuts.  Three facts make that sum cheap:
 * every subtree cut size itself comes from one bottom-up pass with
   difference counters.
 
-Edge membership tests ride on the tree's discovery intervals and are
-vectorized with numpy across the whole edge list.
+Edge membership tests ride on the tree's discovery intervals and on the
+discovery indices of every edge's endpoints, which the tree computes
+once; ``_crossing`` vectorizes them with numpy across the edge list.
 """
 
 from __future__ import annotations
@@ -127,53 +128,17 @@ def classify_gamma_case(
     return _classify(tree, _validated_members(tree, members))
 
 
-def _subtree_mask(
-    tree: RootedSpanningTree, v: int, tin_e: np.ndarray
-) -> np.ndarray:
-    """Boolean mask over edge endpoints: endpoint inside subtree of v."""
-    return (tin_e >= tree.euler_in[v]) & (tin_e <= tree.euler_out[v])
+def _crossing(tree: RootedSpanningTree, v: int) -> np.ndarray:
+    """Mask of the edges in the subtree cut of v: exactly one endpoint's
+    discovery index lies in [euler_in(v), euler_out(v)].
 
-
-def _single_value(
-    graph: Graph,
-    tree: RootedSpanningTree,
-    v: int,
-    tin_u: np.ndarray,
-    tin_v: np.ndarray,
-) -> int:
-    inside_u = _subtree_mask(tree, v, tin_u)
-    inside_v = _subtree_mask(tree, v, tin_v)
-    return int(graph.edge_weight[inside_u ^ inside_v].sum())
-
-
-def _pair_value(
-    graph: Graph,
-    tree: RootedSpanningTree,
-    x: int,
-    y: int,
-    tin_u: np.ndarray,
-    tin_v: np.ndarray,
-) -> int:
-    """Weight of edges crossing both subtree cuts, in one edge pass.
-
-    Nested subtrees: the edge must leave the inner subtree and end
-    outside the outer one.  Disjoint subtrees: the edge must join them.
+    Every single and pairwise value reads the edges through this mask
+    alone; an edge lies in both of two subtree cuts exactly when it
+    crosses each, whether the subtrees nest or are disjoint.
     """
-    if tree.is_descendant(y, x):
-        inner, outer = y, x
-    elif tree.is_descendant(x, y):
-        inner, outer = x, y
-    else:
-        xu = _subtree_mask(tree, x, tin_u)
-        xv = _subtree_mask(tree, x, tin_v)
-        yu = _subtree_mask(tree, y, tin_u)
-        yv = _subtree_mask(tree, y, tin_v)
-        return int(graph.edge_weight[(xu & yv) | (yu & xv)].sum())
-    iu = _subtree_mask(tree, inner, tin_u)
-    iv = _subtree_mask(tree, inner, tin_v)
-    ou = _subtree_mask(tree, outer, tin_u)
-    ov = _subtree_mask(tree, outer, tin_v)
-    return int(graph.edge_weight[(iu & ~ov) | (iv & ~ou)].sum())
+    tin = tree.edge_euler_in
+    inside = (tin >= tree._tin[v]) & (tin <= tree._tout[v])
+    return inside[0] ^ inside[1]
 
 
 def pairwise_gamma(
@@ -181,12 +146,7 @@ def pairwise_gamma(
 ) -> int:
     """Intersection size of the subtree cuts of two distinct non-root
     vertices, as a weight sum."""
-    mem = _validated_members(tree, (x, y))
-    if len(mem) != 2:
-        raise QueryError("pairwise query needs two distinct vertices")
-    tin_u = tree.euler_in[graph.edge_u]
-    tin_v = tree.euler_in[graph.edge_v]
-    return _pair_value(graph, tree, mem[0], mem[1], tin_u, tin_v)
+    return GammaTable(graph, tree).pair(x, y)
 
 
 def _ancestor_table(tree: RootedSpanningTree) -> np.ndarray:
@@ -240,6 +200,7 @@ def all_subtree_cut_sizes(
     rule (their lowest common ancestor is the parent endpoint), so one
     uniform pass covers the whole edge list.
     """
+    _check_tree_graph(graph, tree)
     n = graph.n
     root = tree.root
     diff = np.zeros(n, dtype=np.int64)
@@ -263,25 +224,16 @@ class GammaTable:
     intersection sizes.
 
     Entries are symmetric and filled on demand by one vectorized O(m)
-    edge pass each.  A table answers only for the graph and tree it was
-    built for; the query functions refuse any other.
+    pass over ``_crossing`` masks each.  A table answers only for the
+    graph and tree it was built for; the query functions refuse any other.
     """
 
     def __init__(self, graph: Graph, tree: RootedSpanningTree):
-        if tree.graph is not graph:
-            raise QueryError("tree was built for a different graph")
+        _check_tree_graph(graph, tree)
         self.graph = graph
         self.tree = tree
         self._singles: dict[int, int] = {}
         self._pairs: dict[tuple[int, int], int] = {}
-        self._tin_u: np.ndarray | None = None
-        self._tin_v: np.ndarray | None = None
-
-    def _gathers(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._tin_u is None:
-            self._tin_u = self.tree.euler_in[self.graph.edge_u]
-            self._tin_v = self.tree.euler_in[self.graph.edge_v]
-        return self._tin_u, self._tin_v
 
     def single(self, v: int) -> int:
         """Cut size of the subtree of v."""
@@ -290,18 +242,15 @@ class GammaTable:
 
     def pair(self, x: int, y: int) -> int:
         """Intersection size of the subtree cuts of x and y."""
-        mem = _validated_members(self.tree, (x, y))
-        if len(mem) != 2:
-            raise QueryError("pairwise query needs two distinct vertices")
-        return self._pair(mem[0], mem[1])
+        x, y = _validated_members(self.tree, (x, y))
+        return self._pair(x, y)
 
     # The lookups below take vertices already validated by the caller.
 
     def _single(self, v: int) -> int:
         val = self._singles.get(v)
         if val is None:
-            tin_u, tin_v = self._gathers()
-            val = _single_value(self.graph, self.tree, v, tin_u, tin_v)
+            val = self._weight(_crossing(self.tree, v))
             self._singles[v] = val
         return val
 
@@ -309,12 +258,18 @@ class GammaTable:
         key = (x, y) if x < y else (y, x)
         val = self._pairs.get(key)
         if val is None:
-            tin_u, tin_v = self._gathers()
-            val = _pair_value(
-                self.graph, self.tree, key[0], key[1], tin_u, tin_v
-            )
+            tree = self.tree
+            val = self._weight(_crossing(tree, x) & _crossing(tree, y))
             self._pairs[key] = val
         return val
+
+    def _weight(self, edges: np.ndarray) -> int:
+        return int(self.graph.edge_weight[edges].sum())
+
+
+def _check_tree_graph(graph: Graph, tree: RootedSpanningTree) -> None:
+    if tree.graph is not graph:
+        raise QueryError("tree was built for a different graph")
 
 
 def _own_table(

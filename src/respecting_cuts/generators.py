@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GraphInputError, QueryError
-from .graph import Graph, _preorder
+from .graph import Graph, _is_integer, _preorder
 from .tree import RootedSpanningTree, _checked_root, build_rooted_tree
 
 STRATEGIES = ("bfs", "dfs", "uniform")
@@ -73,10 +73,13 @@ def gen_connected_graph(n: int, target_m: int, seed: int) -> Graph:
 
     A uniform spanning tree over the complete graph comes first, then
     target_m - (n - 1) uniformly random non-loop edges on top (parallel
-    edges allowed).  Tree edges occupy ids 0..n-2 in child order.
+    edges allowed).  Tree edges occupy ids 0..n-2 in child order.  An n
+    or target_m that is not an integer raises GraphInputError.
     """
-    n = int(n)
-    target_m = int(target_m)
+    for name, value in (("n", n), ("target_m", target_m)):
+        if not _is_integer(value):
+            raise GraphInputError(f"{name} {value!r} is not an integer")
+    n, target_m = int(n), int(target_m)
     if n < 1:
         raise ValueError("a graph needs at least one vertex")
     if target_m < n - 1:
@@ -182,7 +185,10 @@ def gen_spanning_tree(
 
 
 def gen_query_set(tree: RootedSpanningTree, k: int, seed: int) -> set[int]:
-    """k distinct non-root vertices, uniform without replacement."""
+    """k distinct non-root vertices, uniform without replacement.  A k
+    that is not an integer raises QueryError."""
+    if not _is_integer(k):
+        raise QueryError(f"query size {k!r} is not an integer")
     k = int(k)
     n = tree.graph.n
     if not 1 <= k <= n - 1:

@@ -2,7 +2,8 @@
 
 Everything here favors the literal definition over speed: sets are
 materialized, edges are classified one by one, and no code is shared
-with the vectorized query engine.  Tests use these as ground truth.
+with the vectorized query engine beyond the input checks of
+``graph.checked_vertex_set``.  Tests use these as ground truth.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from collections import Counter
 from typing import Iterable, Mapping
 
 from .errors import DEFAULT_MAX_K, KLimitExceeded, QueryError, UniverseMismatchError
-from .graph import Graph, cut_edge_set
+from .graph import Graph, checked_vertex_set, cut_edge_set
 from .tree import RootedSpanningTree
 
 
@@ -70,16 +71,11 @@ def xor_size_by_inclusion_exclusion(
 def _checked_members(
     tree: RootedSpanningTree, members: Iterable[int], min_size: int
 ) -> set[int]:
-    out = {int(v) for v in members}
+    out = checked_vertex_set(tree.graph, members)
     if len(out) < min_size:
         raise QueryError(f"query set needs at least {min_size} vertices")
-    for v in out:
-        if not 0 <= v < tree.graph.n:
-            raise QueryError(
-                f"vertex {v} out of range for {tree.graph.n} vertices"
-            )
-        if v == tree.root:
-            raise QueryError(f"root {v} cannot appear in a query set")
+    if tree.root in out:
+        raise QueryError(f"root {tree.root} cannot appear in a query set")
     return out
 
 

@@ -29,7 +29,8 @@ from .graph import (
 class RootedSpanningTree:
     """A spanning tree of a Graph, rooted at a chosen vertex.
 
-    Public tables (ascending vertex id as the index):
+    Public tables, read-only numpy arrays of int32 (int64 when n or m
+    outgrows int32), with ascending vertex id as the index:
 
     * ``parent`` / ``parent_edge``: parent vertex and connecting edge id,
       -1 at the root
@@ -37,13 +38,17 @@ class RootedSpanningTree:
     * ``euler_in`` / ``euler_out``: position in the preorder and largest
       position inside the subtree; the preorder visits children in
       ascending vertex order
-    * ``children``: child lists, each sorted ascending
     * ``order``: the depth-first preorder itself
-    * ``tree_edge_ids``: frozenset of the n-1 edge ids forming the tree
+    * ``edge_euler_in``: discovery indices of every graph edge's two
+      endpoints (indexed by edge id), built on first use
+
+    plus ``children``, child lists each sorted ascending, and
+    ``tree_edge_ids``, the frozenset of the n-1 edge ids forming the tree.
 
     The root and the tree edge ids must be integers (Python or numpy,
     not bools); anything else is refused with TreeStructureError rather
-    than converted.  Instances never mutate after construction.
+    than converted.  Instances never change after construction, apart
+    from filling ``edge_euler_in`` once.
     """
 
     def __init__(self, graph: Graph, tree_edge_ids: Iterable[int], root: int):
@@ -93,12 +98,15 @@ class RootedSpanningTree:
         self.root = root
         self.tree_edge_ids = frozenset(ids)
         self.children = children
-        self.parent = _frozen(parent)
-        self.parent_edge = _frozen(parent_edge)
-        self.depth = _frozen(depth)
-        self.euler_in = _frozen(tin)
-        self.euler_out = _frozen(tin + np.array(size) - 1)
-        self.order = _frozen(order)
+        # Every table holds vertex or edge ids below max(n, m); int32 halves
+        # what they cost whenever those fit.
+        dtype = np.int32 if max(n, graph.m) <= np.iinfo(np.int32).max else np.int64
+        self.parent = _frozen(parent, dtype)
+        self.parent_edge = _frozen(parent_edge, dtype)
+        self.depth = _frozen(depth, dtype)
+        self.euler_in = _frozen(tin, dtype)
+        self.euler_out = _frozen(tin + np.array(size) - 1, dtype)
+        self.order = _frozen(order, dtype)
         # Plain-list twins for scalar-heavy paths; numpy scalar indexing is
         # an order of magnitude slower than list indexing.
         self._parent = parent
@@ -106,10 +114,25 @@ class RootedSpanningTree:
         self._tin = tin.tolist()
         self._tout = self.euler_out.tolist()
         self._order = order
+        # Filled by edge_euler_in.  Assigned here, not by a cached_property,
+        # so that the attribute layout of every instance stays the one
+        # CPython reads fastest.
+        self._edge_euler_in: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def edge_euler_in(self) -> np.ndarray:
+        """Shape (2, m): row 0 holds euler_in of every edge's first
+        endpoint, row 1 of its second.  Built on first use, then kept."""
+        if self._edge_euler_in is None:
+            tin = self.euler_in
+            ends = np.stack((tin[self.graph.edge_u], tin[self.graph.edge_v]))
+            ends.setflags(write=False)
+            self._edge_euler_in = ends
+        return self._edge_euler_in
 
     def is_descendant(self, u: int, v: int) -> bool:
         """True when u lies in the subtree of v (u == v counts).
@@ -174,17 +197,15 @@ class RootedSpanningTree:
             raise QueryError(
                 "vertex set must be a proper nonempty subset of the vertices"
             )
-        par = self._parent
-        basis = {
-            c
-            for c in self._order[1:]
-            if (c in inside) != (par[c] in inside)
-        }
-        return basis, (self.root in inside)
+        mask = np.zeros(self.graph.n, dtype=bool)
+        mask[np.fromiter(inside, dtype=np.int64, count=len(inside))] = True
+        crossing = mask != mask[self.parent]
+        crossing[self.root] = False
+        return set(np.flatnonzero(crossing).tolist()), (self.root in inside)
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.int64)
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 

@@ -230,23 +230,6 @@ def test_max_k_env_invalid(capsys, monkeypatch, f2_path):
     assert "error:" in err
 
 
-def test_bench_json(capsys, f2_path):
-    code, out, _ = run(
-        capsys, "bench", "--n", "200", "--m", "500", "--k", "4", "--pairs", "4"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["n"] == 200
-    assert payload["m"] == 500
-    for key in (
-        "build_tree_s",
-        "all_subtree_cut_sizes_s",
-        "pairwise_gamma_s",
-        "k_respecting_s",
-    ):
-        assert key in payload
-
-
 def test_unknown_command_exit_two(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()

@@ -212,6 +212,26 @@ def test_table_refuses_a_foreign_graph_or_tree():
         k_respecting_cut_size(same_shape, t1, {1, 2}, table=GammaTable(g, t1))
     with pytest.raises(QueryError):
         GammaTable(same_shape, t1)
+    # Bare calls refuse a tree built on another graph as well.
+    other = gen_connected_graph(8, 14, 1)
+    with pytest.raises(QueryError):
+        pairwise_gamma(other, t1, 1, 2)
+    with pytest.raises(QueryError):
+        all_subtree_cut_sizes(other, t1)
+    with pytest.raises(QueryError):
+        all_subtree_cut_sizes(same_shape, t1)
+
+
+def test_edge_endpoint_indices_are_built_once_per_tree(f2):
+    g, t = f2
+    all_subtree_cut_sizes(g, t)
+    assert t._edge_euler_in is None  # the delta pass never needs them
+    ends = t.edge_euler_in
+    assert not ends.flags.writeable
+    assert np.array_equal(ends, [t.euler_in[g.edge_u], t.euler_in[g.edge_v]])
+    pairwise_gamma(g, t, 1, 2)
+    GammaTable(g, t).single(3)
+    assert t.edge_euler_in is ends
 
 
 def test_negative_total_raises(f1):
@@ -254,6 +274,35 @@ def test_pair_identity_matches_literal_subset_sum():
                 literal += sign * (1 << (level - 1)) * value
         assert size == literal
         assert size == cut_size_direct(graph, xor_of_subtrees(tree, members))
+
+
+def test_single_and_pair_values_match_the_oracle_exhaustively():
+    rng = np.random.default_rng(7)
+    nested = disjoint = 0
+    for trial in range(30):
+        n = int(rng.integers(2, 10))
+        m = int(rng.integers(n - 1, 3 * n))
+        base = gen_connected_graph(n, m, int(rng.integers(2**31)))
+        weights = rng.integers(1, 20, size=m)
+        graph = Graph.from_arrays(n, base.edge_u, base.edge_v, weights)
+        strategy = ("bfs", "dfs", "uniform")[trial % 3]
+        root = int(rng.integers(n))
+        tree = gen_spanning_tree(graph, root, int(rng.integers(2**31)), strategy)
+        table = GammaTable(graph, tree)
+        sizes = all_subtree_cut_sizes(graph, tree)
+        others = [v for v in range(n) if v != root]
+        for v in others:
+            expected = oracle_k_wise_gamma(graph, tree, {v})
+            assert table.single(v) == sizes[v] == expected
+        for x, y in itertools.combinations(others, 2):
+            expected = oracle_k_wise_gamma(graph, tree, {x, y})
+            assert pairwise_gamma(graph, tree, x, y) == expected
+            assert table.pair(y, x) == expected
+            if tree.is_independent(x, y):
+                disjoint += 1
+            else:
+                nested += 1
+    assert nested and disjoint
 
 
 @st.composite

@@ -114,6 +114,20 @@ def test_uniform_tree_distribution_on_triangle():
         assert 0.23 * trials < count < 0.44 * trials
 
 
+@pytest.mark.parametrize(
+    "n, target_m", [(10.7, 20), (10, 20.2), (10.0, 20), (True, 0), ("10", 20)]
+)
+def test_gen_connected_graph_rejects_coerced_sizes(n, target_m):
+    with pytest.raises(GraphInputError, match="is not an integer"):
+        gen_connected_graph(n, target_m, seed=0)
+
+
+def test_gen_connected_graph_accepts_numpy_sizes():
+    g = gen_connected_graph(np.int64(10), np.int32(20), seed=5)
+    assert (g.n, g.m) == (10, 20)
+    assert type(g.n) is int
+
+
 def test_spanning_tree_rejects_bad_inputs():
     g = build_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
@@ -143,6 +157,10 @@ def test_gen_query_set():
         gen_query_set(t, 0, seed=0)
     with pytest.raises(QueryError):
         gen_query_set(t, 12, seed=0)
+    for k in (2.9, 5.0, True, "5"):
+        with pytest.raises(QueryError, match="is not an integer"):
+            gen_query_set(t, k, seed=8)
+    assert gen_query_set(t, np.int64(5), seed=8) == members
 
 
 @given(

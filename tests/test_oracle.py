@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,23 @@ def test_oracle_gamma_rejects_root_and_empty(f1):
         oracle_k_wise_gamma(g, t, {0, 1})
     with pytest.raises(QueryError):
         oracle_k_wise_gamma(g, t, set())
+
+
+@pytest.mark.parametrize("members", [[1.7, 2], [1.0, 2], [True], ["1"], [3], [-1]])
+def test_oracle_does_not_coerce_vertices(f1, members):
+    g, t = f1
+    with pytest.raises(QueryError):
+        oracle_k_wise_gamma(g, t, members)
+    with pytest.raises(QueryError):
+        xor_of_subtrees(t, members)
+    with pytest.raises(QueryError):
+        check_cut_space_identity(g, t, members)
+
+
+def test_oracle_accepts_numpy_vertices(f1):
+    g, t = f1
+    assert oracle_k_wise_gamma(g, t, np.array([1, 2])) == 1
+    assert xor_of_subtrees(t, [np.int32(1)]) == {1, 2}
 
 
 def test_xor_of_subtrees(f1):

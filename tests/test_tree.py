@@ -27,6 +27,18 @@ def test_path_tree_tables(f1):
     assert t.euler_out.tolist() == [2, 2, 2]
 
 
+def test_tables_are_read_only_int32(f2):
+    g, t = f2
+    for name in (
+        "parent", "parent_edge", "depth", "euler_in", "euler_out", "order",
+        "edge_euler_in",
+    ):
+        table = getattr(t, name)
+        assert table.dtype == np.int32, name
+        assert not table.flags.writeable, name
+    assert t.edge_euler_in.shape == (2, g.m)
+
+
 def test_subtree_members(f1):
     _, t = f1
     assert t.subtree_members(0) == {0, 1, 2}
