@@ -11,7 +11,10 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from collections import deque
+
+import numpy as np
 
 from .errors import (
     GraphInputError,
@@ -56,6 +59,53 @@ def _max_k_from_env() -> int | None:
 def _parse_graph_file(path: str) -> Graph:
     """Read the edge-list format: first significant line "n m", then m
     lines "u v [w]" with weight defaulting to 1.  '#' starts a comment.
+
+    A plain ASCII file of int64 decimals is read in one ``np.loadtxt``
+    call; any other file goes to the line loop, which accepts the same
+    files and is the one source of error messages."""
+    graph = _parse_plain(path)
+    if graph is None:
+        graph = _parse_lines(path)
+    return graph
+
+
+def _parse_plain(path: str) -> Graph | None:
+    """The numpy path of ``_parse_graph_file``, or None when the file is
+    anything but an ASCII header "n m" and m rows of two or three int64
+    decimals each.
+
+    The ASCII decoding is a guard, not a convenience: on some characters
+    beyond the Basic Multilingual Plane numpy 2.4's loadtxt sometimes
+    ends the process with a segmentation fault instead of raising, so no
+    other text may reach it.  Warnings count as refusals, so an older
+    numpy that would convert "1.0" to 1 with a deprecation warning
+    refuses it instead."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            fields: list[str] = []
+            while not fields:
+                line = fh.readline()
+                if not line:
+                    return None
+                fields = line.split("#", 1)[0].split()
+            if len(fields) != 2:
+                return None
+            n, m = int(fields[0]), int(fields[1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    rows, cols = table.shape
+    if rows != m or cols not in (2, 3):
+        return None
+    w = table[:, 2] if cols == 3 else np.ones(rows, dtype=np.int64)
+    return Graph.from_arrays(n, table[:, 0], table[:, 1], w)
+
+
+def _parse_lines(path: str) -> Graph:
+    """The line loop of ``_parse_graph_file``, for every file the numpy
+    path refuses.
 
     Lines are read one at a time straight into endpoint and weight
     lists, so the file's text and split fields are never all held at
@@ -216,7 +266,7 @@ def _cmd_delta(args, max_k) -> int:
     graph = _parse_graph_file(args.graph)
     tree = _resolve_tree(graph, args.tree, args.root, args.seed)
     sizes = all_subtree_cut_sizes(graph, tree)
-    _emit({"delta": {str(v): sizes[v] for v in sorted(sizes)}})
+    _emit({"delta": sizes})
     return 0
 
 

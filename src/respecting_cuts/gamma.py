@@ -12,8 +12,9 @@ intersection sizes of subtree cuts.  Three facts make that sum cheap:
   value (the four-way classification below), so the whole sum folds
   into k single values and C(k, 2) signed pairwise values (the pair
   identity in ``k_respecting_cut_size``);
-* every subtree cut size itself comes from one bottom-up pass with
-  difference counters.
+* every subtree cut size itself comes from difference counters summed
+  over the subtree, which is one slice of the depth-first preorder, so
+  one prefix sum over the preorder gives them all.
 
 Edge membership tests ride on the tree's discovery intervals and on the
 discovery indices of every edge's endpoints, which the tree computes
@@ -153,7 +154,7 @@ def _ancestor_table(tree: RootedSpanningTree) -> np.ndarray:
     """Binary-lifting table; row j holds the 2^j-th ancestor (root fixed)."""
     n = tree.graph.n
     levels = max(1, (max(1, n - 1)).bit_length())
-    up = np.empty((levels, n), dtype=np.int64)
+    up = np.empty((levels, n), dtype=tree.parent.dtype)
     base = tree.parent.copy()
     base[tree.root] = tree.root
     up[0] = base
@@ -188,35 +189,46 @@ def _lca_batch(
     return np.where(done, x, up[0][x])
 
 
+# Edges per batched LCA call: bounds the edge-length temporaries of
+# _lca_batch to a few hundred kilobytes each.
+_LCA_CHUNK = 1 << 16
+
+
 def all_subtree_cut_sizes(
     graph: Graph, tree: RootedSpanningTree
 ) -> dict[int, int]:
-    """Cut size of every subtree, keyed by its non-root top vertex.
+    """Cut size of every subtree, keyed by its non-root top vertex, in
+    ascending vertex order.
 
     Each edge adds its weight at both endpoints and removes twice its
-    weight at their lowest common ancestor; accumulating those counters
-    bottom-up leaves, at each vertex v, exactly the weight of edges with
-    one endpoint inside the subtree of v.  Tree edges follow the same
-    rule (their lowest common ancestor is the parent endpoint), so one
-    uniform pass covers the whole edge list.
+    weight at their lowest common ancestor; summing those counters over
+    the subtree of v leaves exactly the weight of edges with one endpoint
+    inside it.  Tree edges follow the same rule (their lowest common
+    ancestor is the parent endpoint), so one uniform pass covers the
+    whole edge list.  The subtree of v is the preorder slice
+    [euler_in(v), euler_out(v)], so with S the prefix sums of the
+    counters in preorder, its cut size is S[euler_out(v) + 1] -
+    S[euler_in(v)].
     """
     _check_tree_graph(graph, tree)
     n = graph.n
-    root = tree.root
     diff = np.zeros(n, dtype=np.int64)
     if graph.m:
         up = _ancestor_table(tree)
-        lca = _lca_batch(tree, up, graph.edge_u, graph.edge_v)
-        w = graph.edge_weight
-        np.add.at(diff, graph.edge_u, w)
-        np.add.at(diff, graph.edge_v, w)
-        np.subtract.at(diff, lca, 2 * w)
-    acc = diff.tolist()
-    parent = tree._parent
-    for v in reversed(tree._order):
-        if v != root:
-            acc[parent[v]] += acc[v]
-    return {v: acc[v] for v in range(n) if v != root}
+        u, v, w = graph.edge_u, graph.edge_v, graph.edge_weight
+        np.add.at(diff, u, w)
+        np.add.at(diff, v, w)
+        for lo in range(0, graph.m, _LCA_CHUNK):
+            hi = lo + _LCA_CHUNK
+            lca = _lca_batch(tree, up, u[lo:hi], v[lo:hi])
+            np.subtract.at(diff, lca, 2 * w[lo:hi])
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(diff[tree.order], out=prefix[1:])
+    sizes = dict(
+        enumerate((prefix[tree.euler_out + 1] - prefix[tree.euler_in]).tolist())
+    )
+    del sizes[tree.root]
+    return sizes
 
 
 class GammaTable:

@@ -103,7 +103,10 @@ class Graph:
                 f"edge {i} has weight {int(w[i])}, weights must be >= 1",
                 edge_index=i,
             )
-        total = int(w.sum(dtype=object))  # Python ints: no int64 wrap
+        # Exact in Python ints without an object-dtype sum: both halves of
+        # each weight (>= 1 here) are below 2**32, so their int64 sums
+        # cannot wrap for fewer than 2**31 edges.
+        total = (int((w >> 31).sum()) << 31) + int((w & (2**31 - 1)).sum())
         if total >= MAX_TOTAL_WEIGHT:
             raise EdgeWeightError(
                 f"total edge weight {total} must stay below 2**62 so that "

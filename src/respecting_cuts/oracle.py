@@ -3,7 +3,11 @@
 Everything here favors the literal definition over speed: sets are
 materialized, edges are classified one by one, and no code is shared
 with the vectorized query engine beyond the input checks of
-``graph.checked_vertex_set``.  Tests use these as ground truth.
+``graph.checked_vertex_set``.  Subtrees come from a breadth-first search
+over the tree's edge ids and root alone, never from the tree's tables
+(parent, preorder, discovery intervals, child lists), so a fault in
+those tables cannot reach both sides of a comparison.  Tests use these
+as ground truth.
 """
 
 from __future__ import annotations
@@ -79,10 +83,37 @@ def _checked_members(
     return out
 
 
+def _subtrees(tree: RootedSpanningTree, members: Iterable[int]) -> list[set[int]]:
+    """Vertex set of each member's subtree, in the order given.
+
+    The subtree of v != root is every vertex that a search from the root
+    over the tree edges cannot reach once v is removed.
+    """
+    graph = tree.graph
+    us, vs, _ = graph._edge_lists
+    nbrs: list[list[int]] = [[] for _ in range(graph.n)]
+    for eid in tree.tree_edge_ids:
+        nbrs[us[eid]].append(vs[eid])
+        nbrs[vs[eid]].append(us[eid])
+    everything = set(range(graph.n))
+    out = []
+    for v in members:
+        seen = {tree.root, v}
+        queue = [tree.root]
+        for x in queue:
+            for y in nbrs[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        seen.discard(v)
+        out.append(everything - seen)
+    return out
+
+
 def xor_of_subtrees(tree: RootedSpanningTree, members: Iterable[int]) -> set[int]:
     """Symmetric difference of the subtree vertex sets of the members."""
     mem = _checked_members(tree, members, min_size=0)
-    return symmetric_difference([tree.subtree_members(v) for v in mem])
+    return symmetric_difference(_subtrees(tree, mem))
 
 
 def oracle_k_wise_gamma(
@@ -95,7 +126,7 @@ def oracle_k_wise_gamma(
     other outside.
     """
     mem = _checked_members(tree, members, min_size=1)
-    subs = [tree.subtree_members(v) for v in sorted(mem)]
+    subs = _subtrees(tree, sorted(mem))
     total = 0
     for u, v, w in graph.iter_edges():
         if all((u in s) != (v in s) for s in subs):
@@ -114,6 +145,6 @@ def check_cut_space_identity(
     mem = _checked_members(tree, members, min_size=0)
     lhs = cut_edge_set(graph, xor_of_subtrees(tree, mem))
     rhs = symmetric_difference(
-        [cut_edge_set(graph, tree.subtree_members(v)) for v in mem]
+        [cut_edge_set(graph, sub) for sub in _subtrees(tree, mem)]
     )
     return lhs == rhs

@@ -3,10 +3,12 @@
 Every table comes from one depth-first preorder of the tree edges, run
 by the graph module's traversal (the one the ``dfs`` strategy runs on
 the whole graph): discovery index = preorder position, one forward pass
-for depth and child lists, one reversed pass for subtree sizes, and
-finish index = discovery + size - 1.  Discovery intervals give O(1)
-subtree membership: u lies in the subtree of v exactly when
-euler_in(v) <= euler_in(u) <= euler_out(v).
+for depth, one reversed pass for subtree sizes, and finish index =
+discovery + size - 1.  Discovery intervals give O(1) subtree membership:
+u lies in the subtree of v exactly when
+euler_in(v) <= euler_in(u) <= euler_out(v), and the subtree of v is the
+preorder slice between them.  Child lists, which no query reads, are
+built from the same preorder on first use.
 """
 
 from __future__ import annotations
@@ -42,17 +44,18 @@ class RootedSpanningTree:
     * ``edge_euler_in``: discovery indices of every graph edge's two
       endpoints (indexed by edge id), built on first use
 
-    plus ``children``, child lists each sorted ascending, and
-    ``tree_edge_ids``, the frozenset of the n-1 edge ids forming the tree.
+    plus ``children``, child lists each sorted ascending and built on
+    first use, and ``tree_edge_ids``, the frozenset of the n-1 edge ids
+    forming the tree.
 
     The root and the tree edge ids must be integers (Python or numpy,
     not bools); anything else is refused with TreeStructureError rather
     than converted.  Instances never change after construction, apart
-    from filling ``edge_euler_in`` once.
+    from filling ``edge_euler_in`` and ``children`` once.
     """
 
     def __init__(self, graph: Graph, tree_edge_ids: Iterable[int], root: int):
-        n = graph.n
+        n, m = graph.n, graph.m
         root = _checked_root(graph, root)
         listed = list(tree_edge_ids)
         for eid in listed:
@@ -67,9 +70,9 @@ class RootedSpanningTree:
                 f"edges, got {len(ids)}"
             )
         for eid in ids:
-            if not 0 <= eid < graph.m:
+            if not 0 <= eid < m:
                 raise TreeStructureError(
-                    f"tree edge id {eid} out of range for {graph.m} edges"
+                    f"tree edge id {eid} out of range for {m} edges"
                 )
 
         edges = np.array(ids, dtype=np.int64)
@@ -83,11 +86,8 @@ class RootedSpanningTree:
                 f"unreachable from root {root}"
             )
         depth = [0] * n
-        children: list[list[int]] = [[] for _ in range(n)]
         for v in order[1:]:
-            p = parent[v]
-            depth[v] = depth[p] + 1
-            children[p].append(v)
+            depth[v] = depth[parent[v]] + 1
         size = [1] * n
         for v in reversed(order[1:]):
             size[parent[v]] += size[v]
@@ -97,27 +97,26 @@ class RootedSpanningTree:
         self.graph = graph
         self.root = root
         self.tree_edge_ids = frozenset(ids)
-        self.children = children
         # Every table holds vertex or edge ids below max(n, m); int32 halves
         # what they cost whenever those fit.
-        dtype = np.int32 if max(n, graph.m) <= np.iinfo(np.int32).max else np.int64
+        dtype = np.int32 if max(n, m) <= np.iinfo(np.int32).max else np.int64
         self.parent = _frozen(parent, dtype)
         self.parent_edge = _frozen(parent_edge, dtype)
         self.depth = _frozen(depth, dtype)
         self.euler_in = _frozen(tin, dtype)
         self.euler_out = _frozen(tin + np.array(size) - 1, dtype)
         self.order = _frozen(order, dtype)
-        # Plain-list twins for scalar-heavy paths; numpy scalar indexing is
-        # an order of magnitude slower than list indexing.
-        self._parent = parent
+        # Plain-list twins for the per-scalar ancestry tests of queries;
+        # numpy scalar indexing is an order of magnitude slower than list
+        # indexing.
         self._depth = depth
         self._tin = tin.tolist()
         self._tout = self.euler_out.tolist()
-        self._order = order
-        # Filled by edge_euler_in.  Assigned here, not by a cached_property,
-        # so that the attribute layout of every instance stays the one
-        # CPython reads fastest.
+        # Filled by edge_euler_in and children.  Assigned here, not by a
+        # cached_property, so that the attribute layout of every instance
+        # stays the one CPython reads fastest.
         self._edge_euler_in: np.ndarray | None = None
+        self._children: list[list[int]] | None = None
 
     @property
     def n(self) -> int:
@@ -133,6 +132,19 @@ class RootedSpanningTree:
             ends.setflags(write=False)
             self._edge_euler_in = ends
         return self._edge_euler_in
+
+    @property
+    def children(self) -> list[list[int]]:
+        """Child lists indexed by vertex, each sorted ascending (the
+        preorder visits children in ascending order).  Built on first
+        use, then kept."""
+        if self._children is None:
+            children: list[list[int]] = [[] for _ in range(self.n)]
+            parent = self.parent.tolist()
+            for v in self.order[1:].tolist():
+                children[parent[v]].append(v)
+            self._children = children
+        return self._children
 
     def is_descendant(self, u: int, v: int) -> bool:
         """True when u lies in the subtree of v (u == v counts).
@@ -161,23 +173,19 @@ class RootedSpanningTree:
         return int(self.parent_edge[v])
 
     def subtree_members(self, v: int) -> set[int]:
-        """v together with every descendant, walking the child lists."""
+        """v together with every descendant: the preorder slice from
+        euler_in(v) to euler_out(v)."""
         v = checked_vertex(self.graph, v)
-        out: set[int] = set()
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            out.add(x)
-            stack.extend(self.children[x])
-        return out
+        return set(self.order[self._tin[v] : self._tout[v] + 1].tolist())
 
     def root_path(self, v: int) -> list[int]:
         """Vertices from the root down to v inclusive; length depth(v)+1."""
         v = checked_vertex(self.graph, v)
+        parent = self.parent
         path = []
         while v != -1:
             path.append(v)
-            v = self._parent[v]
+            v = int(parent[v])
         path.reverse()
         return path
 

@@ -1,7 +1,10 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
+from respecting_cuts import cli
 from respecting_cuts.cli import MAX_K_ENV, main
 
 F1 = "3 3\n0 1\n1 2\n0 2\n"
@@ -193,6 +196,108 @@ def test_bad_graph_file_messages(capsys, tmp_path, content, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}{message}\n"
+
+
+def _outcome(parse, path):
+    """A parse result as comparable plain data: the graph's arrays, or
+    the error's type and message."""
+    try:
+        g = parse(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    assert g.edge_u.dtype == g.edge_v.dtype == g.edge_weight.dtype == np.int64
+    return g.n, g.edge_u.tolist(), g.edge_v.tolist(), g.edge_weight.tolist()
+
+
+def _parse_counting_the_loop(monkeypatch, path):
+    """(outcome of _parse_graph_file, times it ran the line loop)."""
+    calls = []
+    loop = cli._parse_lines
+
+    def counted(p):
+        calls.append(p)
+        return loop(p)
+
+    monkeypatch.setattr(cli, "_parse_lines", counted)
+    out = _outcome(cli._parse_graph_file, path)
+    monkeypatch.undo()
+    return out, len(calls)
+
+
+@pytest.mark.parametrize(
+    "content, path",
+    [
+        ("3 2\n0 1\n1 2\n", "numpy"),
+        ("3 2\n0 1 4\n1 2 5\n", "numpy"),
+        ("# c\n\n3 2\n\n# e\n0 1\n\n1 2\n\n", "numpy"),
+        ("3 2 # n m\n0 1 # a\n1 2 #\n", "numpy"),
+        ("3 2\r\n0\t1\r\n1  2\r\n", "numpy"),
+        ("3 2\n+0 1 +5\n1 +2 5\n", "numpy"),
+        ("13 1\n00012 0 007\n", "numpy"),
+        ("3 1\n-0 1\n", "numpy"),
+        # accepted by numpy, refused by the graph with the loop's message
+        ("3 2\n0 1\n1 1\n", "numpy"),
+        ("3 1\n0 9\n", "numpy"),
+        ("3 1\n0 1 0\n", "numpy"),
+        ("11 1\n1_0 2\n", "loop"),
+        ("4 1\n\u0663 1\n", "loop"),
+        ("3 1\n1.0 2\n", "loop"),
+        ("3 1\n1.5 2\n", "loop"),
+        (f"3 1\n0 {2**63}\n", "loop"),
+        ("3 2\n0 1\n1 2 7\n", "loop"),
+        ("3 1\n0 1 2 3\n", "loop"),
+        ("3 1\n1\xa02\n", "loop"),
+        ("3 1\n1,2\n", "loop"),
+        ("3 0\n", "loop"),
+        ("3 2\n# only a comment\n\n", "loop"),
+        # numpy's integer parser can crash on characters like this one
+        ("3 1\n0 \U0002c6cb\n", "loop"),
+        ("3\n0 1\n", "loop"),
+        ("3 x\n0 1\n", "loop"),
+        ("3 3\n0 1\n1 2\n", "loop"),
+    ],
+)
+def test_numpy_parse_agrees_with_the_line_loop(monkeypatch, tmp_path, content, path):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(content, encoding="utf-8")
+    expected = _outcome(cli._parse_lines, str(graph_file))
+    got, loops = _parse_counting_the_loop(monkeypatch, str(graph_file))
+    assert got == expected
+    assert loops == (1 if path == "loop" else 0)
+
+
+def test_numpy_parse_agrees_with_the_line_loop_on_random_files(monkeypatch, tmp_path):
+    # Mostly well-formed files with odd signs, zeros, ASCII and Unicode
+    # separators, comments, CRLF, stray field counts and wrong headers:
+    # both paths must be taken, with the loop's outcome every time.
+    rng = random.Random(8)
+    tokens = ["0", "1", "2", "3", "+1", "-0", "007", "-1", "4", "1_0", "1.0", "x", "2e0"]
+    gaps = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0"]
+    paths = set()
+    for trial in range(300):
+        cols = rng.choice([2, 3])
+        lines = []
+        for _ in range(rng.randint(0, 6)):
+            width = cols if rng.random() < 0.9 else rng.choice([1, 2, 3, 4])
+            fields = [rng.choice(tokens[:6] if rng.random() < 0.8 else tokens) for _ in range(width)]
+            line = rng.choice(gaps[:3] if rng.random() < 0.8 else gaps).join(fields)
+            if rng.random() < 0.2:
+                line += " # " + rng.choice(tokens)
+            lines.append(line)
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "# c", " "]))
+        m = len([ln for ln in lines if ln.split("#", 1)[0].split()])
+        if rng.random() < 0.1:
+            m += rng.choice([-1, 1])
+        newline = rng.choice(["\n", "\r\n"])
+        content = newline.join([f"5 {m}"] + lines) + newline
+        graph_file = tmp_path / f"g{trial}.txt"
+        graph_file.write_text(content, encoding="utf-8", newline="")
+        expected = _outcome(cli._parse_lines, str(graph_file))
+        got, loops = _parse_counting_the_loop(monkeypatch, str(graph_file))
+        assert got == expected, content
+        paths.add(loops)
+    assert paths == {0, 1}
 
 
 def test_graph_file_comments_and_weights(capsys, tmp_path):

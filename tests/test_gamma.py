@@ -225,7 +225,8 @@ def test_table_refuses_a_foreign_graph_or_tree():
 def test_edge_endpoint_indices_are_built_once_per_tree(f2):
     g, t = f2
     all_subtree_cut_sizes(g, t)
-    assert t._edge_euler_in is None  # the delta pass never needs them
+    # the delta pass needs neither the edge indices nor the child lists
+    assert t._edge_euler_in is None and t._children is None
     ends = t.edge_euler_in
     assert not ends.flags.writeable
     assert np.array_equal(ends, [t.euler_in[g.edge_u], t.euler_in[g.edge_v]])

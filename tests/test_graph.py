@@ -97,6 +97,9 @@ def test_total_weight_bound():
         build_graph(3, [(0, 1, 2**62), (1, 2, 2**62), (0, 2, 2**62)])
     with pytest.raises(EdgeWeightError):
         build_graph(3, [(0, 1, half), (1, 2, half - 1), (0, 2, 1)])
+    # 3 * (2**62 - 1) wraps past 2**63 in a plain int64 sum.
+    with pytest.raises(EdgeWeightError):
+        build_graph(3, [(0, 1, 2**62 - 1), (1, 2, 2**62 - 1), (0, 2, 2**62 - 1)])
     g = build_graph(3, [(0, 1, half), (1, 2, half - 2), (0, 2, 1)])
     for strategy in ("bfs", "dfs"):
         t = gen_spanning_tree(g, 0, 0, strategy)

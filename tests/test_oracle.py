@@ -11,6 +11,7 @@ from respecting_cuts.errors import (
     UniverseMismatchError,
 )
 from respecting_cuts.generators import gen_connected_graph, gen_spanning_tree, gen_query_set
+from respecting_cuts.graph import Graph, cut_size_direct
 from respecting_cuts.oracle import (
     check_cut_space_identity,
     oracle_k_wise_gamma,
@@ -18,6 +19,7 @@ from respecting_cuts.oracle import (
     xor_of_subtrees,
     xor_size_by_inclusion_exclusion,
 )
+from respecting_cuts.tree import RootedSpanningTree
 
 
 def test_symmetric_difference_examples():
@@ -161,3 +163,52 @@ def test_identity_on_random_instances(n, extra, seed, strategy):
     k = 1 + seed % (n - 1) if n > 1 else 1
     members = gen_query_set(tree, k, seed + 2)
     assert check_cut_space_identity(graph, tree, members)
+
+
+def _refused(name):
+    def read(self):
+        raise AssertionError(f"the oracle read tree.{name}")
+
+    return property(read)
+
+
+# A tree whose tables, child lists and subtree walk all raise when looked
+# up; properties on the class win over the instance's own attributes.
+_TablesHidden = type(
+    "_TablesHidden",
+    (RootedSpanningTree,),
+    {
+        name: _refused(name)
+        for name in (
+            "children", "subtree_members", "parent", "parent_edge", "depth",
+            "euler_in", "euler_out", "order", "edge_euler_in",
+            "_tin", "_tout", "_depth", "_children", "_edge_euler_in",
+        )
+    },
+)
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs", "uniform"])
+def test_oracle_reads_no_tree_table(strategy):
+    base = gen_connected_graph(11, 26, seed=5)
+    weights = np.random.default_rng(6).integers(1, 9, size=base.m)
+    graph = Graph.from_arrays(base.n, base.edge_u, base.edge_v, weights)
+    tree = gen_spanning_tree(graph, 2, 3, strategy)
+    n, root = graph.n, tree.root
+    tin, tout = tree.euler_in.tolist(), tree.euler_out.tolist()
+    sub = {v: {u for u in range(n) if tin[v] <= tin[u] <= tout[v]} for v in range(n)}
+    tree.__class__ = _TablesHidden
+    with pytest.raises(AssertionError):
+        tree.children
+    non_root = [v for v in range(n) if v != root]
+    for v in non_root:
+        assert xor_of_subtrees(tree, [v]) == sub[v]
+        assert oracle_k_wise_gamma(graph, tree, [v]) == cut_size_direct(graph, sub[v])
+    for x, y in itertools.combinations(non_root, 2):
+        both = cut_size_direct(graph, sub[x] ^ sub[y])
+        twice = cut_size_direct(graph, sub[x]) + cut_size_direct(graph, sub[y]) - both
+        assert 2 * oracle_k_wise_gamma(graph, tree, [x, y]) == twice
+        assert xor_of_subtrees(tree, [x, y]) == sub[x] ^ sub[y]
+    for members in ([1, 3, 4], non_root[:5], non_root):
+        members = [v for v in members if v != root]
+        assert check_cut_space_identity(graph, tree, members)

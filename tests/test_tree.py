@@ -75,6 +75,7 @@ def test_children_sorted(f2):
     _, t = f2
     assert t.children[0] == [1, 2, 3]
     assert t.children[1] == []
+    assert t.children is t.children  # built once, then kept
 
 
 def test_parent_edge_of_root_rejected(f1):
