@@ -16,9 +16,10 @@ intersection sizes of subtree cuts.  Three facts make that sum cheap:
   over the subtree, which is one slice of the depth-first preorder, so
   one prefix sum over the preorder gives them all.
 
-Edge membership tests ride on the tree's discovery intervals and on the
-discovery indices of every edge's endpoints, which the tree computes
-once; ``_crossing`` vectorizes them with numpy across the edge list.
+Every ancestry test rides on the tree's discovery intervals: the pair
+and single values read them through the discovery indices of every
+edge's endpoints (``_crossing``), and the lowest-common-ancestor pass
+of the subtree cut sizes lifts one endpoint of each edge against them.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DEFAULT_MAX_K, KLimitExceeded, QueryError
-from .graph import Graph, checked_vertex_set
+from .errors import KLimitExceeded, QueryError
+from .graph import Graph, checked_limit, checked_vertex_set
 from .tree import RootedSpanningTree
 
 
@@ -94,12 +95,12 @@ def _classify(tree: RootedSpanningTree, mem: list[int]) -> GammaCase:
     by_depth = sorted(mem, key=lambda v: (depth[v], v))
     head = by_depth[0]
     if all(desc(y, head) for y in by_depth[1:]):
-        # Everything sits under one member.  A chain means strictly
-        # increasing depths with each member inside the previous one.
+        # Everything sits under one member.  A chain means each member
+        # inside the previous one; distinct members at equal depth fail.
         chain = True
         prev = by_depth[0]
         for y in by_depth[1:]:
-            if depth[y] == depth[prev] or not desc(y, prev):
+            if not desc(y, prev):
                 chain = False
                 break
             prev = y
@@ -151,13 +152,12 @@ def pairwise_gamma(
 
 
 def _ancestor_table(tree: RootedSpanningTree) -> np.ndarray:
-    """Binary-lifting table; row j holds the 2^j-th ancestor (root fixed)."""
-    n = tree.graph.n
-    levels = max(1, (max(1, n - 1)).bit_length())
-    up = np.empty((levels, n), dtype=tree.parent.dtype)
-    base = tree.parent.copy()
-    base[tree.root] = tree.root
-    up[0] = base
+    """Binary-lifting table; row j holds the 2^j-th ancestor (root fixed).
+    No lift is longer than the tree's height, so the rows stop there."""
+    levels = max(1, int(tree.depth.max()).bit_length())
+    up = np.empty((levels, tree.graph.n), dtype=tree.parent.dtype)
+    up[0] = tree.parent
+    up[0][tree.root] = tree.root
     for j in range(1, levels):
         up[j] = up[j - 1][up[j - 1]]
     return up
@@ -166,27 +166,22 @@ def _ancestor_table(tree: RootedSpanningTree) -> np.ndarray:
 def _lca_batch(
     tree: RootedSpanningTree, up: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Lowest common ancestors for endpoint arrays, fully vectorized."""
-    depth = tree.depth
-    da = depth[a]
-    db = depth[b]
-    swap = db > da
-    x = np.where(swap, b, a)
-    y = np.where(swap, a, b)
-    diff = np.abs(da - db)
-    for j in range(up.shape[0]):
-        take = ((diff >> j) & 1).astype(bool)
-        if take.any():
-            x = np.where(take, up[j][x], x)
-    done = x == y
+    """Lowest common ancestors for endpoint arrays, fully vectorized.
+
+    Only the endpoint discovered first moves.  Its ancestors are all
+    discovered no later than the other endpoint's index t, so their
+    intervals hold t exactly when euler_out reaches t.  It lifts, rows
+    from the top down, while its 2^j-th ancestor misses t, then takes one
+    parent step unless its own interval already holds t.
+    """
+    tin, tout = tree.euler_in, tree.euler_out
+    ta, tb = tin[a], tin[b]
+    x = np.where(ta <= tb, a, b)
+    t = np.maximum(ta, tb)
     for j in range(up.shape[0] - 1, -1, -1):
-        ux = up[j][x]
-        uy = up[j][y]
-        lift = ~done & (ux != uy)
-        if lift.any():
-            x = np.where(lift, ux, x)
-            y = np.where(lift, uy, y)
-    return np.where(done, x, up[0][x])
+        anc = up[j][x]
+        x = np.where(tout[anc] < t, anc, x)
+    return np.where(tout[x] < t, up[0][x], x)
 
 
 # Edges per batched LCA call: bounds the edge-length temporaries of
@@ -213,15 +208,14 @@ def all_subtree_cut_sizes(
     _check_tree_graph(graph, tree)
     n = graph.n
     diff = np.zeros(n, dtype=np.int64)
-    if graph.m:
-        up = _ancestor_table(tree)
-        u, v, w = graph.edge_u, graph.edge_v, graph.edge_weight
-        np.add.at(diff, u, w)
-        np.add.at(diff, v, w)
-        for lo in range(0, graph.m, _LCA_CHUNK):
-            hi = lo + _LCA_CHUNK
-            lca = _lca_batch(tree, up, u[lo:hi], v[lo:hi])
-            np.subtract.at(diff, lca, 2 * w[lo:hi])
+    up = _ancestor_table(tree)
+    u, v, w = graph.edge_u, graph.edge_v, graph.edge_weight
+    np.add.at(diff, u, w)
+    np.add.at(diff, v, w)
+    for lo in range(0, graph.m, _LCA_CHUNK):
+        hi = lo + _LCA_CHUNK
+        lca = _lca_batch(tree, up, u[lo:hi], v[lo:hi])
+        np.subtract.at(diff, lca, 2 * w[lo:hi])
     prefix = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(diff[tree.order], out=prefix[1:])
     sizes = dict(
@@ -341,7 +335,7 @@ def k_respecting_cut_size(
     reads k single and C(k, 2) pairwise values, in exact integers.
     """
     mem = _validated_members(tree, members)
-    limit = DEFAULT_MAX_K if max_k is None else int(max_k)
+    limit = checked_limit(max_k)
     if len(mem) > limit:
         raise KLimitExceeded(len(mem), limit)
     tab = _own_table(graph, tree, table)

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    DEFAULT_MAX_K,
     EdgeWeightError,
     EndpointRangeError,
     GraphInputError,
@@ -121,16 +122,6 @@ class Graph:
     def m(self) -> int:
         return int(self.edge_u.shape[0])
 
-    def edge(self, eid: int) -> tuple[int, int, int]:
-        """Endpoints and weight of one edge as plain ints."""
-        if not 0 <= eid < self.m:
-            raise QueryError(f"edge id {eid} out of range for {self.m} edges")
-        return (
-            int(self.edge_u[eid]),
-            int(self.edge_v[eid]),
-            int(self.edge_weight[eid]),
-        )
-
     def iter_edges(self) -> Iterator[tuple[int, int, int]]:
         us, vs, ws = self._edge_lists
         return iter(zip(us, vs, ws))
@@ -233,6 +224,19 @@ def checked_vertex(graph: Graph, v) -> int:
     if not 0 <= v < graph.n:
         raise QueryError(f"vertex {v} out of range for {graph.n} vertices")
     return int(v)
+
+
+def checked_limit(max_k) -> int:
+    """A query size limit as a plain int; None means DEFAULT_MAX_K.
+
+    Accepts Python and numpy integers and refuses anything else, as
+    checked_vertex does, because converting it would move the limit.
+    """
+    if max_k is None:
+        return DEFAULT_MAX_K
+    if not _is_integer(max_k):
+        raise QueryError(f"size limit {max_k!r} is not an integer")
+    return int(max_k)
 
 
 def checked_vertex_set(graph: Graph, members: Iterable[int]) -> set[int]:

@@ -2,12 +2,11 @@
 
 Everything here favors the literal definition over speed: sets are
 materialized, edges are classified one by one, and no code is shared
-with the vectorized query engine beyond the input checks of
-``graph.checked_vertex_set``.  Subtrees come from a breadth-first search
-over the tree's edge ids and root alone, never from the tree's tables
-(parent, preorder, discovery intervals, child lists), so a fault in
-those tables cannot reach both sides of a comparison.  Tests use these
-as ground truth.
+with the vectorized query engine beyond the graph module's input checks.
+Subtrees come from a breadth-first search over the tree's edge ids and
+root alone, never from the tree's tables (parent, preorder, discovery
+intervals, child lists), so a fault in those tables cannot reach both
+sides of a comparison.  Tests use these as ground truth.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping
 
-from .errors import DEFAULT_MAX_K, KLimitExceeded, QueryError, UniverseMismatchError
-from .graph import Graph, checked_vertex_set, cut_edge_set
+from .errors import KLimitExceeded, QueryError, UniverseMismatchError
+from .graph import Graph, _is_integer, checked_limit, checked_vertex_set, cut_edge_set
 from .tree import RootedSpanningTree
 
 
@@ -31,7 +30,7 @@ def symmetric_difference(sets: Iterable[set], universe: int | None = None) -> se
         counts.update(s)
     if universe is not None:
         for x in counts:
-            if not (isinstance(x, int) and 0 <= x < universe):
+            if not (_is_integer(x) and 0 <= x < universe):
                 raise UniverseMismatchError(
                     f"element {x!r} outside the declared universe of size {universe}"
                 )
@@ -53,7 +52,7 @@ def xor_size_by_inclusion_exclusion(
     k = len(sets)
     if k < 1:
         raise QueryError("need at least one set")
-    limit = DEFAULT_MAX_K if max_k is None else int(max_k)
+    limit = checked_limit(max_k)
     if k > limit:
         raise KLimitExceeded(k, limit)
     total = 0

@@ -360,6 +360,47 @@ def cut_space_identity_sweep(
     return rep
 
 
+def two_respecting_sweep(
+    trials: int = 300, n_max: int = 40, k_max: int = 8, seed: int = 0
+) -> SweepReport:
+    """The paper's closed form, read literally from definition-level cuts.
+
+    Per instance, with S(v) the subtree of v: delta(v) is the cut size of
+    S(v), C2(x, y) the 2-respecting cut size of S(x) xor S(y), and t(x, y)
+    counts the other members z whose subtree holds exactly one of x and
+    y.  Then sum_v delta(v) - sum_{x<y} (-1)^t(x,y) (delta(x) + delta(y)
+    - C2(x, y)) must equal both the direct cut size of the members' xor
+    of subtrees and k_respecting_cut_size.  Every term comes from
+    materialized subtrees, so no tree table is read.  Trees cycle through
+    the strategies and every second graph is weighted.
+    """
+    master = _master(seed)
+    rep = SweepReport()
+    for trial in range(trials):
+        graph = _draw_graph(master, 3, n_max, weighted=trial % 2 == 1)
+        tree = _draw_tree(master, graph, STRATEGIES[trial % len(STRATEGIES)])
+        members = sorted(_draw_query(master, tree, min(k_max, graph.n - 1)))
+        rep.graphs += 1
+
+        sub = {v: xor_of_subtrees(tree, [v]) for v in members}
+        delta = {v: cut_size_direct(graph, sub[v]) for v in members}
+        closed_form = sum(delta.values())
+        for x, y in itertools.combinations(members, 2):
+            c2 = cut_size_direct(graph, sub[x] ^ sub[y])
+            t = sum((x in sub[z]) != (y in sub[z]) for z in members if z not in (x, y))
+            closed_form -= (-1) ** t * (delta[x] + delta[y] - c2)
+
+        expected = cut_size_direct(graph, xor_of_subtrees(tree, members))
+        engine = k_respecting_cut_size(graph, tree, members)
+        for actual, reference, kind in (
+            (closed_form, expected, "closed form vs direct cut of xor"),
+            (engine, closed_form, "k_respecting_cut_size vs closed form"),
+        ):
+            if _compare(rep, graph, tree, actual, reference, set=members, kind=kind):
+                return rep
+    return rep
+
+
 def tree_edge_structure_sweep(
     num_graphs: int = 60,
     n_lo: int = 3,

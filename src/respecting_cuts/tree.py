@@ -154,13 +154,6 @@ class RootedSpanningTree:
         t = self._tin
         return t[v] <= t[u] <= self._tout[v]
 
-    def is_independent(self, u: int, v: int) -> bool:
-        """True when the subtrees of u and v are disjoint.
-
-        Never true for u == v.  Both arguments must be valid vertex ids.
-        """
-        return not (self.is_descendant(u, v) or self.is_descendant(v, u))
-
     def depth_of(self, v: int) -> int:
         """Edge distance from the root; depth_of(root) == 0."""
         return self._depth[v]

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from respecting_cuts.graph import build_graph
+from respecting_cuts.generators import gen_connected_graph
+from respecting_cuts.graph import Graph, build_graph
 from respecting_cuts.tree import build_rooted_tree
 
 
@@ -46,3 +48,15 @@ def f5():
     return make_fixture(
         4, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (2, 3, 1)], {0, 1, 2}
     )
+
+
+@pytest.fixture
+def multigraph():
+    """Weighted 60-vertex multigraph with 40 parallel edges, each listed
+    with its endpoints reversed."""
+    base = gen_connected_graph(60, 150, seed=4)
+    rng = np.random.default_rng(5)
+    dup = rng.integers(0, base.m, size=40)
+    u = np.concatenate([base.edge_u, base.edge_v[dup]])
+    v = np.concatenate([base.edge_v, base.edge_u[dup]])
+    return Graph.from_arrays(60, u, v, rng.integers(1, 50, size=u.size))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from respecting_cuts.errors import KLimitExceeded, QueryError
 from respecting_cuts.gamma import (
     CaseTag,
     GammaTable,
+    _ancestor_table,
+    _lca_batch,
     all_subtree_cut_sizes,
     classify_gamma_case,
     cut_size_via_tree,
@@ -156,6 +159,10 @@ def test_k_respecting_limit(f2):
     assert exc.value.k == 3
     assert exc.value.limit == 2
     assert k_respecting_cut_size(g, t, {1, 2, 3}, max_k=3) == 3
+    assert k_respecting_cut_size(g, t, {1, 2, 3}, max_k=np.int64(3)) == 3
+    for bad in ("3", 2.9, 3.0, True):
+        with pytest.raises(QueryError, match=f"limit {re.escape(repr(bad))} is"):
+            k_respecting_cut_size(g, t, {1, 2, 3}, max_k=bad)
 
 
 def test_cut_size_via_tree_fixtures(f1):
@@ -164,6 +171,10 @@ def test_cut_size_via_tree_fixtures(f1):
     assert cut_size_via_tree(g, t, {0}) == (2, frozenset({1}))
     with pytest.raises(KLimitExceeded):
         cut_size_via_tree(g, t, {1}, max_k=1)
+    assert cut_size_via_tree(g, t, {1}, max_k=np.int32(2))[0] == 2
+    for bad in ("2", 2.9, True):
+        with pytest.raises(QueryError, match=f"limit {re.escape(repr(bad))} is"):
+            cut_size_via_tree(g, t, {1}, max_k=bad)
 
 
 def test_gamma_table_caches_consistently(f3):
@@ -299,11 +310,15 @@ def test_single_and_pair_values_match_the_oracle_exhaustively():
             expected = oracle_k_wise_gamma(graph, tree, {x, y})
             assert pairwise_gamma(graph, tree, x, y) == expected
             assert table.pair(y, x) == expected
-            if tree.is_independent(x, y):
+            if _independent(tree, x, y):
                 disjoint += 1
             else:
                 nested += 1
     assert nested and disjoint
+
+
+def _independent(tree, u, v):
+    return not (tree.is_descendant(u, v) or tree.is_descendant(v, u))
 
 
 @st.composite
@@ -392,7 +407,7 @@ def test_case_witness_invariants(inst):
         # The eliminated vertex sits in a dependent pair but does not
         # dominate the whole set.
         assert any(
-            not tree.is_independent(a, v) for v in mem if v != a
+            not _independent(tree, a, v) for v in mem if v != a
         )
         assert not all(tree.is_descendant(v, a) for v in mem if v != a)
         rest = [v for v in mem if v != a]
@@ -401,7 +416,7 @@ def test_case_witness_invariants(inst):
         )
     elif case.tag is CaseTag.CASE1_ALL_INDEPENDENT:
         for x, y in itertools.combinations(mem, 2):
-            assert tree.is_independent(x, y)
+            assert _independent(tree, x, y)
         assert k_wise_gamma(graph, tree, members) == 0
     elif case.tag is CaseTag.CASE3_BRANCHING_UNDER_ANCESTOR:
         assert k_wise_gamma(graph, tree, members) == 0
@@ -444,3 +459,36 @@ def test_cut_size_via_tree_exhaustive_small():
                 if v != root
                 and ((v in inside) != (tree.parent[v] in inside))
             )
+
+
+def _naive_lca(parent, a, b):
+    seen = set()
+    while a != -1:
+        seen.add(a)
+        a = parent[a]
+    while b not in seen:
+        b = parent[b]
+    return b
+
+
+def test_lca_lifts_against_euler_intervals(multigraph):
+    deep = gen_spanning_tree(gen_connected_graph(20_000, 100_000, seed=0), 0, 0, "dfs")
+    sample = np.random.default_rng(3).choice(deep.graph.m, size=300, replace=False)
+    cases = [
+        (gen_spanning_tree(multigraph, 7, 11, strategy), np.arange(multigraph.m))
+        for strategy in ("bfs", "dfs", "uniform")
+    ]
+    cases.append((deep, sample))
+    for tree, eids in cases:
+        up = _ancestor_table(tree)
+        assert up.shape[0] == max(1, int(tree.depth.max()).bit_length())
+        u, v = tree.graph.edge_u[eids], tree.graph.edge_v[eids]
+        parent = tree.parent.tolist()
+        expected = [_naive_lca(parent, a, b) for a, b in zip(u.tolist(), v.tolist())]
+        assert _lca_batch(tree, up, u, v).tolist() == expected
+    # No edges at all, and two parallel edges between two vertices.
+    one = build_graph(1, [])
+    assert all_subtree_cut_sizes(one, gen_spanning_tree(one, 0, 0, "bfs")) == {}
+    two = build_graph(2, [(0, 1, 3), (1, 0, 4)])
+    assert all_subtree_cut_sizes(two, gen_spanning_tree(two, 0, 0, "bfs")) == {1: 7}
+    assert all_subtree_cut_sizes(two, gen_spanning_tree(two, 1, 0, "dfs")) == {0: 7}

@@ -27,7 +27,7 @@ def test_basic_construction():
     g = build_graph(3, [(0, 1, 1), (1, 2, 4), (0, 2, 1)])
     assert g.n == 3
     assert g.m == 3
-    assert g.edge(1) == (1, 2, 4)
+    assert (g.edge_u[1], g.edge_v[1], g.edge_weight[1]) == (1, 2, 4)
     assert list(g.iter_edges()) == [(0, 1, 1), (1, 2, 4), (0, 2, 1)]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ def test_symmetric_difference_universe_check():
     with pytest.raises(UniverseMismatchError):
         symmetric_difference([{0, 9}], universe=5)
     assert symmetric_difference([{0, 4}], universe=5) == {0, 4}
+    with pytest.raises(UniverseMismatchError, match="element True"):
+        symmetric_difference([{True}], universe=5)
+    assert symmetric_difference([{np.int64(1)}], universe=5) == {1}
 
 
 @given(st.lists(st.sets(st.integers(0, 12)), min_size=0, max_size=7))
@@ -71,6 +75,10 @@ def test_xor_size_rejects_empty_and_oversized():
     assert exc.value.k == 5
     assert exc.value.limit == 4
     assert xor_size_by_inclusion_exclusion(sets, max_k=5) == 5
+    assert xor_size_by_inclusion_exclusion(sets, max_k=np.int64(5)) == 5
+    for bad in ("5", 5.5, True):
+        with pytest.raises(QueryError, match=f"limit {re.escape(repr(bad))} is"):
+            xor_size_by_inclusion_exclusion(sets, max_k=bad)
 
 
 def test_xor_size_exhaustive_tiny():

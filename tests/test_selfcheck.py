@@ -1,7 +1,7 @@
 import json
 
 from respecting_cuts import selfcheck
-from respecting_cuts.gamma import cut_size_via_tree
+from respecting_cuts.gamma import cut_size_via_tree, k_respecting_cut_size
 from respecting_cuts.graph import build_graph, cut_size_direct
 from respecting_cuts.selfcheck import (
     SweepReport,
@@ -11,6 +11,7 @@ from respecting_cuts.selfcheck import (
     random_set_sweep,
     run_selfcheck,
     tree_edge_structure_sweep,
+    two_respecting_sweep,
 )
 from respecting_cuts.tree import build_rooted_tree
 
@@ -100,6 +101,20 @@ def test_tree_edge_structure_sweep_small():
     report = tree_edge_structure_sweep(num_graphs=10, n_lo=3, n_hi=6, seed=7)
     assert report.ok
     assert summary(report) == (10, 427, 0, {})
+
+
+def test_two_respecting_sweep_small(monkeypatch):
+    report = two_respecting_sweep(trials=60, n_max=30, k_max=8, seed=8)
+    assert report.ok
+    assert summary(report) == (60, 120, 0, {})
+    # The closed form holds on its own; an engine off by one then fails
+    # the second comparison of the first instance.
+    monkeypatch.setattr(
+        selfcheck, "k_respecting_cut_size", lambda *args: k_respecting_cut_size(*args) + 1
+    )
+    report = two_respecting_sweep(trials=60, n_max=30, k_max=8, seed=8)
+    assert (report.graphs, report.comparisons, report.mismatches) == (1, 2, 1)
+    assert report.counterexample["kind"] == "k_respecting_cut_size vs closed form"
 
 
 def test_run_selfcheck_small():
