@@ -32,7 +32,7 @@ from .gamma import (
     pairwise_gamma,
 )
 from .generators import STRATEGIES, gen_spanning_tree
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, checked_limit
 from .selfcheck import run_selfcheck
 from .tree import build_rooted_tree
 
@@ -281,8 +281,9 @@ def _cmd_gamma(args, max_k) -> int:
         _emit({"gamma": value, "case": CaseTag.BASE_PAIR.name})
         return 0
     members = _read_id_argument(args.members)
-    if max_k is not None and len(members) > max_k:
-        raise KLimitExceeded(len(members), max_k)
+    k, limit = len(set(members)), checked_limit(max_k)
+    if k > limit:
+        raise KLimitExceeded(k, limit)
     case = classify_gamma_case(tree, members)
     value = k_wise_gamma(graph, tree, members)
     _emit({"gamma": value, "case": _case_label(case.tag)})

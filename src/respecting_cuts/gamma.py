@@ -18,14 +18,17 @@ intersection sizes of subtree cuts.  Three facts make that sum cheap:
 
 Every ancestry test rides on the tree's discovery intervals: the pair
 and single values read them through the discovery indices of every
-edge's endpoints (``_crossing``), and the lowest-common-ancestor pass
-of the subtree cut sizes lifts one endpoint of each edge against them.
+edge's endpoints (``_crossing``), the lowest-common-ancestor pass of
+the subtree cut sizes lifts one endpoint of each edge against them, and
+a query set reads them once, into the ancestor bitmasks of ``_above``.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -73,6 +76,16 @@ def _validated_members(
     return sorted(mset)
 
 
+def _above(tree: RootedSpanningTree, mem: list[int]) -> list[int]:
+    """Ancestry of a query set as bitmasks: bit j of above[i] is set when
+    mem[j] is mem[i] or an ancestor of it.  The members' discovery
+    intervals are read in one gather."""
+    tin = tree.euler_in[mem].tolist()
+    tout = tree.euler_out[mem].tolist()
+    js = range(len(mem))
+    return [sum(1 << j for j in js if tin[j] <= t <= tout[j]) for t in tin]
+
+
 def _classify(tree: RootedSpanningTree, mem: list[int]) -> GammaCase:
     """Classify a validated, sorted, duplicate-free query set."""
     k = len(mem)
@@ -80,38 +93,25 @@ def _classify(tree: RootedSpanningTree, mem: list[int]) -> GammaCase:
         return GammaCase(CaseTag.BASE_SINGLE)
     if k == 2:
         return GammaCase(CaseTag.BASE_PAIR)
-    desc = tree.is_descendant
-    depth = tree._depth
-    participants: set[int] = set()
-    for i in range(k):
-        x = mem[i]
-        for j in range(i + 1, k):
-            y = mem[j]
-            if desc(x, y) or desc(y, x):
-                participants.add(x)
-                participants.add(y)
-    if not participants:
+    above = _above(tree, mem)
+    # A member's rank counts itself and its ancestors in the set, so the
+    # ranks sum to k plus the number of nested pairs.
+    ranks = [a.bit_count() for a in above]
+    nested = sum(ranks) - k
+    if nested == 0:
         return GammaCase(CaseTag.CASE1_ALL_INDEPENDENT)
-    by_depth = sorted(mem, key=lambda v: (depth[v], v))
-    head = by_depth[0]
-    if all(desc(y, head) for y in by_depth[1:]):
-        # Everything sits under one member.  A chain means each member
-        # inside the previous one; distinct members at equal depth fail.
-        chain = True
-        prev = by_depth[0]
-        for y in by_depth[1:]:
-            if not desc(y, prev):
-                chain = False
-                break
-            prev = y
-        if chain:
-            return GammaCase(
-                CaseTag.CASE2_CHAIN, pair=(by_depth[-1], by_depth[0])
-            )
+    if nested == k * (k - 1) // 2:
+        pair = (mem[ranks.index(k)], mem[ranks.index(1)])
+        return GammaCase(CaseTag.CASE2_CHAIN, pair=pair)
+    if reduce(operator.and_, above):
         return GammaCase(CaseTag.CASE3_BRANCHING_UNDER_ANCESTOR)
-    # No member dominates all others: the shallowest member of any
-    # comparable pair can be dropped without changing the intersection.
-    a = min(participants, key=lambda v: (depth[v], v))
+    # No member dominates all others: the shallowest member of any nested
+    # pair can be dropped without changing the intersection.  It is the
+    # ancestor in its pair, so only members above another one compete.
+    ancestors = reduce(operator.or_, (a ^ (1 << i) for i, a in enumerate(above)))
+    tops = [v for j, v in enumerate(mem) if ancestors >> j & 1]
+    depth = tree.depth
+    a = min(tops, key=lambda v: (depth[v], v))
     return GammaCase(CaseTag.CASE4_ELIMINABLE, eliminated=a)
 
 
@@ -139,7 +139,7 @@ def _crossing(tree: RootedSpanningTree, v: int) -> np.ndarray:
     crosses each, whether the subtrees nest or are disjoint.
     """
     tin = tree.edge_euler_in
-    inside = (tin >= tree._tin[v]) & (tin <= tree._tout[v])
+    inside = (tin >= tree.euler_in[v]) & (tin <= tree.euler_out[v])
     return inside[0] ^ inside[1]
 
 
@@ -339,10 +339,8 @@ def k_respecting_cut_size(
     if len(mem) > limit:
         raise KLimitExceeded(len(mem), limit)
     tab = _own_table(graph, tree, table)
-    desc = tree.is_descendant
-    # Bit j of above[i] is set when mem[j] is mem[i] or an ancestor of it,
-    # so above[i] ^ above[j] marks the members on the path from i to j.
-    above = [sum(1 << j for j, z in enumerate(mem) if desc(x, z)) for x in mem]
+    # above[i] ^ above[j] marks the members on the path from i to j.
+    above = _above(tree, mem)
     total = sum(tab._single(v) for v in mem)
     for i in range(len(mem)):
         for j in range(i + 1, len(mem)):

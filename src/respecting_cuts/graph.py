@@ -36,18 +36,27 @@ def _is_integer(x) -> bool:
 
 
 def _int64_column(
-    values, what: str, error: type[GraphInputError]
+    field: str, values, what: str, error: type[GraphInputError]
 ) -> np.ndarray:
-    """One edge field as an int64 array.  An entry that is not an integer
-    (a float, a bool, a string) or does not fit in int64 is rejected,
-    naming its edge, because converting it would change the graph."""
-    column = np.array(values).reshape(-1)
+    """One edge field as an int64 array.  A field that is not
+    one-dimensional is rejected, naming the field, and so is an entry
+    that is not an integer (a float, a bool, a string) or does not fit in
+    int64, naming its edge: flattening or converting would change the
+    graph."""
+    try:
+        column = np.array(values)
+    except ValueError:  # numpy refuses ragged nestings of sequences
+        raise GraphInputError(f"{field} must be one-dimensional, not ragged") from None
+    if column.ndim != 1:
+        raise GraphInputError(
+            f"{field} must be one-dimensional, got shape {column.shape}"
+        )
     exact = column.dtype.kind == "i"
     if exact and isinstance(values, (list, tuple)):
         # np.asarray reads bools mixed with ints as ints.
         exact = not {bool, np.bool_} & set(map(type, values))
     if column.size and not exact:
-        for i, x in enumerate(np.asarray(values, dtype=object).reshape(-1)):
+        for i, x in enumerate(np.asarray(values, dtype=object)):
             if not (_is_integer(x) and _INT64.min <= x <= _INT64.max):
                 raise error(
                     f"edge {i} has {what} {x!r}, which is not an int64 integer",
@@ -79,11 +88,11 @@ class Graph:
         if n < 1:
             raise ValueError("a graph needs at least one vertex")
         n = int(n)
-        u = _int64_column(edge_u, "endpoint", EndpointRangeError)
-        v = _int64_column(edge_v, "endpoint", EndpointRangeError)
-        w = _int64_column(edge_weight, "weight", EdgeWeightError)
+        u = _int64_column("edge_u", edge_u, "endpoint", EndpointRangeError)
+        v = _int64_column("edge_v", edge_v, "endpoint", EndpointRangeError)
+        w = _int64_column("edge_weight", edge_weight, "weight", EdgeWeightError)
         if not (u.shape == v.shape == w.shape):
-            raise ValueError("endpoint and weight arrays differ in length")
+            raise GraphInputError("endpoint and weight arrays differ in length")
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         if bad.any():
             i = int(np.argmax(bad))

@@ -52,6 +52,10 @@ class RootedSpanningTree:
     not bools); anything else is refused with TreeStructureError rather
     than converted.  Instances never change after construction, apart
     from filling ``edge_euler_in`` and ``children`` once.
+
+    Each table is kept once, as numpy, so ``is_descendant`` and
+    ``depth_of`` read numpy scalars, slower per call than list reads;
+    the engine gathers a query set's intervals at once instead.
     """
 
     def __init__(self, graph: Graph, tree_edge_ids: Iterable[int], root: int):
@@ -106,12 +110,6 @@ class RootedSpanningTree:
         self.euler_in = _frozen(tin, dtype)
         self.euler_out = _frozen(tin + np.array(size) - 1, dtype)
         self.order = _frozen(order, dtype)
-        # Plain-list twins for the per-scalar ancestry tests of queries;
-        # numpy scalar indexing is an order of magnitude slower than list
-        # indexing.
-        self._depth = depth
-        self._tin = tin.tolist()
-        self._tout = self.euler_out.tolist()
         # Filled by edge_euler_in and children.  Assigned here, not by a
         # cached_property, so that the attribute layout of every instance
         # stays the one CPython reads fastest.
@@ -151,12 +149,12 @@ class RootedSpanningTree:
 
         Both arguments must be valid vertex ids.
         """
-        t = self._tin
-        return t[v] <= t[u] <= self._tout[v]
+        t = self.euler_in
+        return bool(t[v] <= t[u] <= self.euler_out[v])
 
     def depth_of(self, v: int) -> int:
         """Edge distance from the root; depth_of(root) == 0."""
-        return self._depth[v]
+        return int(self.depth[v])
 
     def parent_edge_of(self, v: int) -> int:
         """Edge id connecting v to its parent; the root has none."""
@@ -169,7 +167,7 @@ class RootedSpanningTree:
         """v together with every descendant: the preorder slice from
         euler_in(v) to euler_out(v)."""
         v = checked_vertex(self.graph, v)
-        return set(self.order[self._tin[v] : self._tout[v] + 1].tolist())
+        return set(self.order[self.euler_in[v] : self.euler_out[v] + 1].tolist())
 
     def root_path(self, v: int) -> list[int]:
         """Vertices from the root down to v inclusive; length depth(v)+1."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from respecting_cuts.generators import gen_connected_graph
+from respecting_cuts.generators import gen_connected_graph, gen_spanning_tree
 from respecting_cuts.graph import Graph, build_graph
 from respecting_cuts.tree import build_rooted_tree
 
@@ -60,3 +60,11 @@ def multigraph():
     u = np.concatenate([base.edge_u, base.edge_v[dup]])
     v = np.concatenate([base.edge_v, base.edge_u[dup]])
     return Graph.from_arrays(60, u, v, rng.integers(1, 50, size=u.size))
+
+
+@pytest.fixture(scope="session")
+def deep_dfs_tree():
+    """DFS tree of a 20,000-vertex graph, rooted at 0; its depth is close
+    to n.  Trees never change, so one instance serves every test."""
+    graph = gen_connected_graph(20_000, 100_000, seed=0)
+    return gen_spanning_tree(graph, 0, 0, "dfs")

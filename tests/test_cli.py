@@ -328,6 +328,30 @@ def test_max_k_env_enforced(capsys, monkeypatch, f2_path):
     assert "exceeds the configured limit of 2" in err
 
 
+@pytest.fixture()
+def path40(tmp_path):
+    path = tmp_path / "path40.g"
+    path.write_text("40 39\n" + "".join(f"{i} {i + 1}\n" for i in range(39)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,flag", [("gamma", "--set"), ("cutsize", "--respect")])
+def test_default_size_limit(capsys, monkeypatch, path40, command, flag):
+    monkeypatch.delenv(MAX_K_ENV, raising=False)
+    many = ",".join(map(str, range(1, 31)))
+    code, out, err = run(capsys, command, "--graph", path40, flag, many)
+    assert (code, out) == (2, "")
+    assert "query set of size 30 exceeds the configured limit of 16" in err
+
+
+@pytest.mark.parametrize("command,flag", [("gamma", "--set"), ("cutsize", "--respect")])
+def test_size_limit_counts_distinct_members(capsys, monkeypatch, path40, command, flag):
+    monkeypatch.setenv(MAX_K_ENV, "2")
+    code, out, err = run(capsys, command, "--graph", path40, flag, "1,1,2")
+    assert (code, out) == (2, "")
+    assert "duplicate vertices in query set" in err
+
+
 def test_max_k_env_invalid(capsys, monkeypatch, f2_path):
     monkeypatch.setenv(MAX_K_ENV, "zero")
     code, _, err = run(capsys, "delta", "--graph", f2_path)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from respecting_cuts.errors import KLimitExceeded, QueryError
 from respecting_cuts.gamma import (
     CaseTag,
+    GammaCase,
     GammaTable,
     _ancestor_table,
     _lca_batch,
@@ -387,6 +388,81 @@ def test_k_wise_dichotomy(inst):
     assert value in pair_values
 
 
+def _classify_by_pairs(tree, members):
+    """The classification rule spelled out over is_descendant pairs."""
+    mem = sorted(members)
+    if len(mem) < 3:
+        return GammaCase(CaseTag.BASE_SINGLE if len(mem) == 1 else CaseTag.BASE_PAIR)
+    desc = tree.is_descendant
+    nested = [(x, y) for x, y in itertools.permutations(mem, 2) if desc(x, y)]
+    if not nested:
+        return GammaCase(CaseTag.CASE1_ALL_INDEPENDENT)
+    by_depth = sorted(mem, key=lambda v: (tree.depth_of(v), v))
+    head = by_depth[0]
+    if all(desc(y, head) for y in by_depth[1:]):
+        if all(desc(y, x) for x, y in zip(by_depth, by_depth[1:])):
+            return GammaCase(CaseTag.CASE2_CHAIN, pair=(by_depth[-1], head))
+        return GammaCase(CaseTag.CASE3_BRANCHING_UNDER_ANCESTOR)
+    participants = {v for pair in nested for v in pair}
+    a = min(participants, key=lambda v: (tree.depth_of(v), v))
+    return GammaCase(CaseTag.CASE4_ELIMINABLE, eliminated=a)
+
+
+def _drawn_sets(tree, rng, count):
+    """Seeded query sets of size 3-10: random members, subsets of one
+    root path, and a member together with part of its subtree."""
+    non_root = np.array([v for v in range(tree.n) if v != tree.root])
+    for _ in range(count):
+        k = int(rng.integers(3, 11))
+        yield set(rng.choice(non_root, size=k, replace=False).tolist())
+        path = tree.root_path(int(rng.choice(non_root)))[1:]
+        if len(path) >= 3:
+            yield set(rng.choice(path, size=min(k, len(path)), replace=False).tolist())
+        top = int(rng.choice(non_root))
+        below = sorted(tree.subtree_members(top) - {top})
+        if len(below) >= 2:
+            picked = rng.choice(below, size=min(k - 1, len(below)), replace=False)
+            yield {top, *picked.tolist()}
+
+
+def test_classification_matches_the_pairwise_rule(multigraph, deep_dfs_tree):
+    rng = np.random.default_rng(17)
+    sets = [
+        (tree, members)
+        for strategy in ("bfs", "dfs", "uniform")
+        for tree in [gen_spanning_tree(multigraph, 7, 11, strategy)]
+        for members in _drawn_sets(tree, rng, 150)
+    ]
+    deep = deep_dfs_tree
+    sets += [(deep, members) for members in _drawn_sets(deep, rng, 40)]
+    # Chains and sibling sets on the deep tree, alone and mixed with a
+    # parent or with descendants of one sibling.
+    path = deep.root_path(int(np.argmax(deep.depth)))[1:]
+    for k in range(3, 11):
+        sets.append((deep, set(rng.choice(path, size=k, replace=False).tolist())))
+        sets.append((deep, set(path[-k:])))
+    for kids in [kids for kids in deep.children if len(kids) >= 3][:20]:
+        parent = int(deep.parent[kids[0]])
+        below = sorted(deep.subtree_members(kids[0]) - {kids[0]})
+        sets.append((deep, set(kids)))
+        if parent != deep.root:
+            sets.append((deep, {parent, *kids}))
+        if below:
+            sets.append((deep, {*kids, below[-1]}))
+            sets.append((deep, {*kids, *below[:3]}))
+    seen = set()
+    for tree, members in sets:
+        expected = _classify_by_pairs(tree, members)
+        assert classify_gamma_case(tree, members) == expected, sorted(members)
+        seen.add(expected.tag)
+    assert seen == {
+        CaseTag.CASE1_ALL_INDEPENDENT,
+        CaseTag.CASE2_CHAIN,
+        CaseTag.CASE3_BRANCHING_UNDER_ANCESTOR,
+        CaseTag.CASE4_ELIMINABLE,
+    }
+
+
 @given(query_instance())
 @settings(max_examples=100, deadline=None)
 def test_case_witness_invariants(inst):
@@ -471,8 +547,8 @@ def _naive_lca(parent, a, b):
     return b
 
 
-def test_lca_lifts_against_euler_intervals(multigraph):
-    deep = gen_spanning_tree(gen_connected_graph(20_000, 100_000, seed=0), 0, 0, "dfs")
+def test_lca_lifts_against_euler_intervals(multigraph, deep_dfs_tree):
+    deep = deep_dfs_tree
     sample = np.random.default_rng(3).choice(deep.graph.m, size=300, replace=False)
     cases = [
         (gen_spanning_tree(multigraph, 7, 11, strategy), np.arange(multigraph.m))

@@ -89,6 +89,31 @@ def test_from_arrays_rejects_coerced_arrays():
     empty = np.asarray([])
     g = Graph.from_arrays(1, empty, empty, empty)
     assert (g.n, g.m) == (1, 0)
+    assert Graph.from_arrays(1, [], [], []).m == 0
+
+
+@pytest.mark.parametrize(
+    "u,v,w,field",
+    [
+        ([[0, 1]], [[1, 2]], [[1, 1]], "edge_u"),
+        (0, 1, 1, "edge_u"),
+        ([0, 1], 2, [1], "edge_v"),
+        (np.array([[0], [1]]), [1, 2], [[1, 1]], "edge_u"),
+        ([0, 1], np.array([[1], [2]]), [1, 1], "edge_v"),
+        ([[0], [1, 2]], [1, 2], [1, 1], "edge_u"),
+        ([0, 1], [1, [2]], [1, 1], "edge_v"),
+        ([0, 1], [1, 2], [[1, 1]], "edge_weight"),
+        ([0, 1], [1, 2], np.ones((2, 1), dtype=np.int64), "edge_weight"),
+    ],
+)
+def test_from_arrays_rejects_fields_that_are_not_one_dimensional(u, v, w, field):
+    with pytest.raises(GraphInputError, match=f"^{field} must be one-dimensional"):
+        Graph.from_arrays(3, u, v, w)
+
+
+def test_from_arrays_length_mismatch_is_a_graph_input_error():
+    with pytest.raises(GraphInputError, match="differ in length"):
+        Graph.from_arrays(3, [0, 1], [1, 2], [1])
 
 
 def test_total_weight_bound():

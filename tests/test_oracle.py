@@ -190,7 +190,7 @@ _TablesHidden = type(
         for name in (
             "children", "subtree_members", "parent", "parent_edge", "depth",
             "euler_in", "euler_out", "order", "edge_euler_in",
-            "_tin", "_tout", "_depth", "_children", "_edge_euler_in",
+            "_children", "_edge_euler_in",
         )
     },
 )

@@ -8,6 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from respecting_cuts.errors import QueryError, TreeStructureError
+from respecting_cuts.gamma import (
+    all_subtree_cut_sizes,
+    k_respecting_cut_size,
+    pairwise_gamma,
+)
 from respecting_cuts.generators import gen_connected_graph, gen_spanning_tree
 from respecting_cuts.graph import build_graph, cut_edge_set
 from respecting_cuts.oracle import xor_of_subtrees
@@ -259,10 +264,10 @@ def test_trees_are_pinned(multigraph):
     assert digests == PINNED_TREES
 
 
-def test_deep_dfs_tree():
+def test_deep_dfs_tree(deep_dfs_tree):
     # Depth close to n: the shared preorder must not recurse.
-    n = 20_000
-    tree = gen_spanning_tree(gen_connected_graph(n, 5 * n, seed=0), 0, 0, "dfs")
+    tree = deep_dfs_tree
+    n = tree.n
     assert tree.depth.max() > n // 2
     assert tree.euler_in[tree.order].tolist() == list(range(n))
     size = tree.euler_out - tree.euler_in + 1
@@ -270,3 +275,20 @@ def test_deep_dfs_tree():
     kids = np.zeros(n, dtype=np.int64)
     np.add.at(kids, tree.parent[tree.order[1:]], size[tree.order[1:]])
     assert np.array_equal(size, kids + 1)
+
+
+def test_tree_keeps_no_list_tables(multigraph):
+    # Every table lives once, as numpy; child lists are the one exception,
+    # and only once they are asked for.
+    tree = gen_spanning_tree(multigraph, 7, 11, "dfs")
+    all_subtree_cut_sizes(multigraph, tree)
+    pairwise_gamma(multigraph, tree, 1, 2)
+    k_respecting_cut_size(multigraph, tree, [1, 2, 3, 4, 5])
+    tree.decompose_cut_as_xor_basis({1, 2, 3})
+
+    def lists():
+        return [name for name, value in vars(tree).items() if isinstance(value, list)]
+
+    assert lists() == []
+    tree.children
+    assert lists() == ["_children"]
