@@ -12,15 +12,15 @@ intersection sizes of subtree cuts.  Three facts make that sum cheap:
   value (the four-way classification below), so the whole sum folds
   into k single values and C(k, 2) signed pairwise values (the pair
   identity in ``k_respecting_cut_size``);
-* every subtree cut size itself comes from difference counters summed
-  over the subtree, which is one slice of the depth-first preorder, so
-  one prefix sum over the preorder gives them all.
+* every single value, a subtree cut size, is one entry of the tree's
+  ``subtree_cut`` table, which one lowest-common-ancestor pass and one
+  prefix sum over the depth-first preorder fill once per tree.
 
 Every ancestry test rides on the tree's discovery intervals: the pair
-and single values read them through the discovery indices of every
-edge's endpoints (``_crossing``), the lowest-common-ancestor pass of
-the subtree cut sizes lifts one endpoint of each edge against them, and
-a query set reads them once, into the ancestor bitmasks of ``_above``.
+values read them through the discovery indices of every edge's
+endpoints (``_crossing``), the lowest-common-ancestor pass behind
+``subtree_cut`` lifts one endpoint of each edge against them, and a
+query set reads them once, into the ancestor bitmasks of ``_above``.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ def _crossing(tree: RootedSpanningTree, v: int) -> np.ndarray:
     """Mask of the edges in the subtree cut of v: exactly one endpoint's
     discovery index lies in [euler_in(v), euler_out(v)].
 
-    Every single and pairwise value reads the edges through this mask
-    alone; an edge lies in both of two subtree cuts exactly when it
-    crosses each, whether the subtrees nest or are disjoint.
+    Every pairwise value reads the edges through this mask alone; an edge
+    lies in both of two subtree cuts exactly when it crosses each,
+    whether the subtrees nest or are disjoint.
     """
     tin = tree.edge_euler_in
     inside = (tin >= tree.euler_in[v]) & (tin <= tree.euler_out[v])
@@ -151,126 +151,50 @@ def pairwise_gamma(
     return GammaTable(graph, tree).pair(x, y)
 
 
-def _ancestor_table(tree: RootedSpanningTree) -> np.ndarray:
-    """Binary-lifting table; row j holds the 2^j-th ancestor (root fixed).
-    No lift is longer than the tree's height, so the rows stop there."""
-    levels = max(1, int(tree.depth.max()).bit_length())
-    up = np.empty((levels, tree.graph.n), dtype=tree.parent.dtype)
-    up[0] = tree.parent
-    up[0][tree.root] = tree.root
-    for j in range(1, levels):
-        up[j] = up[j - 1][up[j - 1]]
-    return up
-
-
-def _lca_batch(
-    tree: RootedSpanningTree, up: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Lowest common ancestors for endpoint arrays, fully vectorized.
-
-    Only the endpoint discovered first moves.  Its ancestors are all
-    discovered no later than the other endpoint's index t, so their
-    intervals hold t exactly when euler_out reaches t.  It lifts, rows
-    from the top down, while its 2^j-th ancestor misses t, then takes one
-    parent step unless its own interval already holds t.
-    """
-    tin, tout = tree.euler_in, tree.euler_out
-    ta, tb = tin[a], tin[b]
-    x = np.where(ta <= tb, a, b)
-    t = np.maximum(ta, tb)
-    for j in range(up.shape[0] - 1, -1, -1):
-        anc = up[j][x]
-        x = np.where(tout[anc] < t, anc, x)
-    return np.where(tout[x] < t, up[0][x], x)
-
-
-# Edges per batched LCA call: bounds the edge-length temporaries of
-# _lca_batch to a few hundred kilobytes each.
-_LCA_CHUNK = 1 << 16
-
-
 def all_subtree_cut_sizes(
     graph: Graph, tree: RootedSpanningTree
 ) -> dict[int, int]:
     """Cut size of every subtree, keyed by its non-root top vertex, in
-    ascending vertex order.
-
-    Each edge adds its weight at both endpoints and removes twice its
-    weight at their lowest common ancestor; summing those counters over
-    the subtree of v leaves exactly the weight of edges with one endpoint
-    inside it.  Tree edges follow the same rule (their lowest common
-    ancestor is the parent endpoint), so one uniform pass covers the
-    whole edge list.  The subtree of v is the preorder slice
-    [euler_in(v), euler_out(v)], so with S the prefix sums of the
-    counters in preorder, its cut size is S[euler_out(v) + 1] -
-    S[euler_in(v)].
-    """
+    ascending vertex order: the tree's ``subtree_cut`` table."""
     _check_tree_graph(graph, tree)
-    n = graph.n
-    diff = np.zeros(n, dtype=np.int64)
-    up = _ancestor_table(tree)
-    u, v, w = graph.edge_u, graph.edge_v, graph.edge_weight
-    np.add.at(diff, u, w)
-    np.add.at(diff, v, w)
-    for lo in range(0, graph.m, _LCA_CHUNK):
-        hi = lo + _LCA_CHUNK
-        lca = _lca_batch(tree, up, u[lo:hi], v[lo:hi])
-        np.subtract.at(diff, lca, 2 * w[lo:hi])
-    prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(diff[tree.order], out=prefix[1:])
-    sizes = dict(
-        enumerate((prefix[tree.euler_out + 1] - prefix[tree.euler_in]).tolist())
-    )
+    sizes = dict(enumerate(tree.subtree_cut.tolist()))
     del sizes[tree.root]
     return sizes
 
 
 class GammaTable:
-    """Lazy per-(graph, tree) cache of subtree cut sizes and pairwise
-    intersection sizes.
+    """Lazy per-(graph, tree) cache of pairwise intersection sizes.
 
-    Entries are symmetric and filled on demand by one vectorized O(m)
-    pass over ``_crossing`` masks each.  A table answers only for the
-    graph and tree it was built for; the query functions refuse any other.
+    Pair entries are symmetric and filled on demand by one vectorized
+    O(m) pass over ``_crossing`` masks each; single values read the
+    tree's ``subtree_cut`` table.  A table answers only for the graph and
+    tree it was built for; the query functions refuse any other.
     """
 
     def __init__(self, graph: Graph, tree: RootedSpanningTree):
         _check_tree_graph(graph, tree)
         self.graph = graph
         self.tree = tree
-        self._singles: dict[int, int] = {}
         self._pairs: dict[tuple[int, int], int] = {}
 
     def single(self, v: int) -> int:
         """Cut size of the subtree of v."""
         (v,) = _validated_members(self.tree, (v,))
-        return self._single(v)
+        return int(self.tree.subtree_cut[v])
 
     def pair(self, x: int, y: int) -> int:
         """Intersection size of the subtree cuts of x and y."""
         x, y = _validated_members(self.tree, (x, y))
         return self._pair(x, y)
 
-    # The lookups below take vertices already validated by the caller.
-
-    def _single(self, v: int) -> int:
-        val = self._singles.get(v)
-        if val is None:
-            val = self._weight(_crossing(self.tree, v))
-            self._singles[v] = val
-        return val
-
-    def _pair(self, x: int, y: int) -> int:
+    def _pair(self, x: int, y: int) -> int:  # x, y validated by the caller
         key = (x, y) if x < y else (y, x)
         val = self._pairs.get(key)
         if val is None:
-            tree = self.tree
-            val = self._weight(_crossing(tree, x) & _crossing(tree, y))
+            both = _crossing(self.tree, x) & _crossing(self.tree, y)
+            val = int(self.graph.edge_weight[both].sum())
             self._pairs[key] = val
         return val
-
-    def _weight(self, edges: np.ndarray) -> int:
-        return int(self.graph.edge_weight[edges].sum())
 
 
 def _check_tree_graph(graph: Graph, tree: RootedSpanningTree) -> None:
@@ -309,7 +233,7 @@ def k_wise_gamma(
         if tag is CaseTag.CASE4_ELIMINABLE:
             mem.remove(case.eliminated)
         elif tag is CaseTag.BASE_SINGLE:
-            return tab._single(mem[0])
+            return int(tree.subtree_cut[mem[0]])
         elif tag is CaseTag.BASE_PAIR:
             return tab._pair(mem[0], mem[1])
         elif tag is CaseTag.CASE2_CHAIN:
@@ -332,7 +256,8 @@ def k_respecting_cut_size(
     pair identity |cut| = sum_v delta(v) - 2 sum_{x<y} (-1)^t(x,y)
     gamma(x, y), where t(x, y) counts the other members strictly inside
     the tree path x..y, its lowest common ancestor excluded.  A query
-    reads k single and C(k, 2) pairwise values, in exact integers.
+    reads its k singles from the tree's ``subtree_cut`` table in one
+    gather and C(k, 2) pairwise values, and sums them in exact integers.
     """
     mem = _validated_members(tree, members)
     limit = checked_limit(max_k)
@@ -341,7 +266,8 @@ def k_respecting_cut_size(
     tab = _own_table(graph, tree, table)
     # above[i] ^ above[j] marks the members on the path from i to j.
     above = _above(tree, mem)
-    total = sum(tab._single(v) for v in mem)
+    # Summed as Python ints: k singles, each below 2^62, may pass int64.
+    total = sum(tree.subtree_cut[mem].tolist())
     for i in range(len(mem)):
         for j in range(i + 1, len(mem)):
             inside = (above[i] ^ above[j]) & ~((1 << i) | (1 << j))

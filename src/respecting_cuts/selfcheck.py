@@ -468,12 +468,18 @@ def run_selfcheck(n_max: int = 8, trials: int = 200, seed: int = 7) -> SweepRepo
     cycled), cut equivalence on every proper nonempty vertex set (all of
     them when the graph is small, a sample otherwise), one engine vs
     oracle comparison on a random query set, the dichotomy check, and
-    the cut space identity.
+    the cut space identity.  Raises ValueError for fewer than one trial,
+    which would check nothing, and for an n_max below the three vertices
+    every drawn graph has.
     """
+    if trials < 1:
+        raise ValueError(f"selfcheck needs at least 1 trial, got {trials}")
+    if n_max < 3:
+        raise ValueError(f"selfcheck needs n of at least 3, got {n_max}")
     master = _master(seed)
     rep = SweepReport()
     for trial in range(trials):
-        graph = _draw_graph(master, 3, max(3, n_max))
+        graph = _draw_graph(master, 3, n_max)
         tree = _draw_tree(master, graph, STRATEGIES[trial % len(STRATEGIES)])
         table = GammaTable(graph, tree)
         rep.graphs += 1

@@ -7,8 +7,9 @@ for depth, one reversed pass for subtree sizes, and finish index =
 discovery + size - 1.  Discovery intervals give O(1) subtree membership:
 u lies in the subtree of v exactly when
 euler_in(v) <= euler_in(u) <= euler_out(v), and the subtree of v is the
-preorder slice between them.  Child lists, which no query reads, are
-built from the same preorder on first use.
+preorder slice between them.  Child lists, which no query reads, and
+the subtree cut sizes, which one lowest-common-ancestor pass over the
+edges fills, are built on first use.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class RootedSpanningTree:
     * ``order``: the depth-first preorder itself
     * ``edge_euler_in``: discovery indices of every graph edge's two
       endpoints (indexed by edge id), built on first use
+    * ``subtree_cut``: int64 cut size of the subtree of every vertex (0
+      at the root), built on first use
 
     plus ``children``, child lists each sorted ascending and built on
     first use, and ``tree_edge_ids``, the frozenset of the n-1 edge ids
@@ -50,8 +53,9 @@ class RootedSpanningTree:
 
     The root and the tree edge ids must be integers (Python or numpy,
     not bools); anything else is refused with TreeStructureError rather
-    than converted.  Instances never change after construction, apart
-    from filling ``edge_euler_in`` and ``children`` once.
+    than converted, and so is a repeated edge id.  Instances never change
+    after construction, apart from filling ``edge_euler_in``,
+    ``subtree_cut`` and ``children`` once.
 
     Each table is kept once, as numpy, so ``is_descendant`` and
     ``depth_of`` read numpy scalars, slower per call than list reads;
@@ -67,7 +71,10 @@ class RootedSpanningTree:
                 raise TreeStructureError(
                     f"tree edge id {eid!r} is not an integer"
                 )
-        ids = sorted(set(map(int, listed)))
+        ids = sorted(map(int, listed))
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise TreeStructureError(f"tree edge id {a} is repeated")
         if len(ids) != n - 1:
             raise TreeStructureError(
                 f"a spanning tree of {n} vertices needs {n - 1} distinct "
@@ -110,10 +117,11 @@ class RootedSpanningTree:
         self.euler_in = _frozen(tin, dtype)
         self.euler_out = _frozen(tin + np.array(size) - 1, dtype)
         self.order = _frozen(order, dtype)
-        # Filled by edge_euler_in and children.  Assigned here, not by a
-        # cached_property, so that the attribute layout of every instance
-        # stays the one CPython reads fastest.
+        # Filled by edge_euler_in, subtree_cut and children.  Assigned
+        # here, not by a cached_property, so that the attribute layout of
+        # every instance stays the one CPython reads fastest.
         self._edge_euler_in: np.ndarray | None = None
+        self._subtree_cut: np.ndarray | None = None
         self._children: list[list[int]] | None = None
 
     @property
@@ -130,6 +138,35 @@ class RootedSpanningTree:
             ends.setflags(write=False)
             self._edge_euler_in = ends
         return self._edge_euler_in
+
+    @property
+    def subtree_cut(self) -> np.ndarray:
+        """Shape (n,), int64: the cut size of the subtree of every vertex,
+        0 at the root.  Built on first use, then kept.
+
+        Each edge adds its weight at both endpoints and removes twice its
+        weight at their lowest common ancestor (for a tree edge, its parent
+        endpoint).  Summed over the subtree of v, the preorder slice
+        [euler_in(v), euler_out(v)], those counters leave exactly the
+        weight of the edges with one endpoint inside it; with S their
+        prefix sums in preorder, that is S[euler_out(v) + 1] - S[euler_in(v)].
+        """
+        if self._subtree_cut is None:
+            graph = self.graph
+            diff = np.zeros(graph.n, dtype=np.int64)
+            up = _ancestor_table(self)
+            u, v, w = graph.edge_u, graph.edge_v, graph.edge_weight
+            np.add.at(diff, u, w)
+            np.add.at(diff, v, w)
+            for lo in range(0, graph.m, _LCA_CHUNK):
+                hi = lo + _LCA_CHUNK
+                lca = _lca_batch(self, up, u[lo:hi], v[lo:hi])
+                np.subtract.at(diff, lca, 2 * w[lo:hi])
+            prefix = np.zeros(graph.n + 1, dtype=np.int64)
+            np.cumsum(diff[self.order], out=prefix[1:])
+            cut = prefix[self.euler_out + 1] - prefix[self.euler_in]
+            self._subtree_cut = _frozen(cut, np.int64)
+        return self._subtree_cut
 
     @property
     def children(self) -> list[list[int]]:
@@ -201,6 +238,44 @@ class RootedSpanningTree:
         crossing = mask != mask[self.parent]
         crossing[self.root] = False
         return set(np.flatnonzero(crossing).tolist()), (self.root in inside)
+
+
+def _ancestor_table(tree: RootedSpanningTree) -> np.ndarray:
+    """Binary-lifting table; row j holds the 2^j-th ancestor (root fixed).
+    No lift is longer than the tree's height, so the rows stop there."""
+    levels = max(1, int(tree.depth.max()).bit_length())
+    up = np.empty((levels, tree.n), dtype=tree.parent.dtype)
+    up[0] = tree.parent
+    up[0][tree.root] = tree.root
+    for j in range(1, levels):
+        up[j] = up[j - 1][up[j - 1]]
+    return up
+
+
+def _lca_batch(
+    tree: RootedSpanningTree, up: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Lowest common ancestors for endpoint arrays, fully vectorized.
+
+    Only the endpoint discovered first moves.  Its ancestors are all
+    discovered no later than the other endpoint's index t, so their
+    intervals hold t exactly when euler_out reaches t.  It lifts, rows
+    from the top down, while its 2^j-th ancestor misses t, then takes one
+    parent step unless its own interval already holds t.
+    """
+    tin, tout = tree.euler_in, tree.euler_out
+    ta, tb = tin[a], tin[b]
+    x = np.where(ta <= tb, a, b)
+    t = np.maximum(ta, tb)
+    for j in range(up.shape[0] - 1, -1, -1):
+        anc = up[j][x]
+        x = np.where(tout[anc] < t, anc, x)
+    return np.where(tout[x] < t, up[0][x], x)
+
+
+# Edges per batched LCA call: bounds the edge-length temporaries of
+# _lca_batch to a few hundred kilobytes each.
+_LCA_CHUNK = 1 << 16
 
 
 def _frozen(values, dtype) -> np.ndarray:

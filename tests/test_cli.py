@@ -149,6 +149,22 @@ def test_selfcheck_exit_zero(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["--trials", "-3"], "at least 1 trial, got -3"),
+        (["--trials", "0"], "at least 1 trial, got 0"),
+        (["--n", "0", "--trials", "2"], "n of at least 3, got 0"),
+        (["--n", "2"], "n of at least 3, got 2"),
+    ],
+)
+def test_selfcheck_refuses_a_run_that_checks_nothing(capsys, argv, shown):
+    code, out, err = run(capsys, "selfcheck", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and shown in err
+
+
 def test_missing_graph_file_exit_two(capsys, tmp_path):
     code, out, err = run(
         capsys, "delta", "--graph", str(tmp_path / "absent.g")

@@ -11,8 +11,6 @@ from respecting_cuts.gamma import (
     CaseTag,
     GammaCase,
     GammaTable,
-    _ancestor_table,
-    _lca_batch,
     all_subtree_cut_sizes,
     classify_gamma_case,
     cut_size_via_tree,
@@ -27,6 +25,7 @@ from respecting_cuts.generators import (
 )
 from respecting_cuts.graph import Graph, build_graph, cut_size_direct
 from respecting_cuts.oracle import oracle_k_wise_gamma, xor_of_subtrees
+from respecting_cuts.tree import _ancestor_table, _lca_batch, build_rooted_tree
 
 
 def test_all_subtree_cut_sizes_fixtures(f1, f2, f3, f4, f5):
@@ -247,6 +246,44 @@ def test_edge_endpoint_indices_are_built_once_per_tree(f2):
     assert t.edge_euler_in is ends
 
 
+def test_every_single_reads_the_one_subtree_cut_table(f2):
+    g, t = f2
+    sizes = all_subtree_cut_sizes(g, t)
+    for v in (1, 2, 3):
+        assert GammaTable(g, t).single(v) == sizes[v]
+        assert k_wise_gamma(g, t, [v]) == sizes[v]
+        assert k_respecting_cut_size(g, t, [v]) == sizes[v]
+    # No single scans the edges; they all read one table, built once.
+    assert t._edge_euler_in is None
+    cut = t.subtree_cut
+    assert cut.dtype == np.int64 and not cut.flags.writeable
+    assert cut.tolist() == [0, sizes[1], sizes[2], sizes[3]]
+    assert all_subtree_cut_sizes(g, t) == sizes
+    assert t.subtree_cut is cut
+
+
+def test_exact_at_the_total_weight_bound():
+    # Each single is 2^62 - 3, so the three of them sum past int64.
+    g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 2**62 - 4)])
+    t = build_rooted_tree(g, [0, 1, 2], 0)
+    table = GammaTable(g, t)
+    sizes = all_subtree_cut_sizes(g, t)
+    for v in (1, 2, 3):
+        direct = cut_size_direct(g, xor_of_subtrees(t, [v]))
+        assert sizes[v] == table.single(v) == direct == 2**62 - 3
+    for k in (1, 2, 3):
+        for combo in itertools.combinations([1, 2, 3], k):
+            inside = xor_of_subtrees(t, combo)
+            direct = cut_size_direct(g, inside)
+            assert k_respecting_cut_size(g, t, combo) == direct
+            assert cut_size_via_tree(g, t, inside) == (direct, frozenset(combo))
+            gamma = oracle_k_wise_gamma(g, t, combo)
+            assert k_wise_gamma(g, t, combo, table=table) == gamma
+            if k == 2:
+                assert pairwise_gamma(g, t, *combo) == gamma
+    assert k_respecting_cut_size(g, t, [1, 2, 3]) == 2**62 - 1
+
+
 def test_negative_total_raises(f1):
     # A consistent table never yields a negative total; a corrupted cache
     # entry must raise even when asserts are stripped.
@@ -276,7 +313,6 @@ def test_pair_identity_matches_literal_subset_sum():
 
         table = GammaTable(graph, tree)
         size = k_respecting_cut_size(graph, tree, members, table=table)
-        assert len(table._singles) <= k
         assert len(table._pairs) <= k * (k - 1) // 2
 
         literal = 0

@@ -189,8 +189,8 @@ _TablesHidden = type(
         name: _refused(name)
         for name in (
             "children", "subtree_members", "parent", "parent_edge", "depth",
-            "euler_in", "euler_out", "order", "edge_euler_in",
-            "_children", "_edge_euler_in",
+            "euler_in", "euler_out", "order", "edge_euler_in", "subtree_cut",
+            "_children", "_edge_euler_in", "_subtree_cut",
         )
     },
 )

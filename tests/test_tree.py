@@ -100,6 +100,10 @@ def test_wrong_edge_count_rejected(f1):
         build_rooted_tree(g, {0, 1, 2}, 0)
     with pytest.raises(TreeStructureError):
         build_rooted_tree(g, {0}, 0)
+    # A repeated id is refused, not folded into a smaller set.
+    for tree_ids in ([0, 0, 1], [1, 0, 1], [2, np.int64(2)]):
+        with pytest.raises(TreeStructureError, match="edge id [012] is repeated"):
+            build_rooted_tree(g, tree_ids, 0)
 
 
 def test_nonspanning_edges_rejected():
