@@ -20,6 +20,7 @@ from respecting_cuts.generators import (
     gen_connected_graph,
     gen_query_set,
     gen_spanning_tree,
+    seed_sequence,
 )
 
 
@@ -31,7 +32,7 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    master = np.random.Generator(np.random.PCG64(args.seed))
+    master = np.random.Generator(np.random.PCG64(seed_sequence(args.seed)))
     for strategy in STRATEGIES:
         counts = Counter()
         for _ in range(args.trials):

@@ -51,9 +51,10 @@ def _max_k_from_env() -> int | None:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{MAX_K_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{MAX_K_ENV} must be positive, got {value}")
-    return value
+    try:
+        return checked_limit(value)
+    except QueryError as exc:
+        raise QueryError(f"{MAX_K_ENV}: {exc}") from None
 
 
 def _parse_graph_file(path: str) -> Graph:
@@ -175,7 +176,7 @@ def _tree_ids_from_pairs(graph: Graph, text: str) -> set[int]:
     """Map 'u,v;u,v;...' endpoint pairs to edge ids, consuming parallel
     edges lowest id first."""
     by_pair: dict[tuple[int, int], deque[int]] = {}
-    us, vs, _ = graph._edge_lists
+    us, vs = graph.edge_u.tolist(), graph.edge_v.tolist()
     for eid in range(graph.m):
         key = (us[eid], vs[eid]) if us[eid] < vs[eid] else (vs[eid], us[eid])
         by_pair.setdefault(key, deque()).append(eid)

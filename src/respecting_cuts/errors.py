@@ -36,7 +36,8 @@ class TreeStructureError(ValueError):
 
 class QueryError(ValueError):
     """A query set violates its preconditions (root member, duplicate,
-    non-integer or out-of-range vertex, empty or improper set)."""
+    non-integer or out-of-range vertex, empty or improper set), or a size
+    limit is not an integer of at least 1."""
 
 
 class KLimitExceeded(QueryError):

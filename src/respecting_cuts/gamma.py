@@ -34,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import KLimitExceeded, QueryError
-from .graph import Graph, checked_limit, checked_vertex_set
+from .graph import Graph, checked_limit, checked_query_set
 from .tree import RootedSpanningTree
 
 
@@ -65,15 +65,10 @@ class GammaCase:
 def _validated_members(
     tree: RootedSpanningTree, members: Iterable[int]
 ) -> list[int]:
-    mlist = list(members)
-    mset = checked_vertex_set(tree.graph, mlist)
-    if len(mset) != len(mlist):
-        raise QueryError("duplicate vertices in query set")
-    if not mset:
+    mem = checked_query_set(tree.graph, members, tree.root)
+    if not mem:
         raise QueryError("query set must be nonempty")
-    if tree.root in mset:
-        raise QueryError(f"root {tree.root} cannot appear in a query set")
-    return sorted(mset)
+    return mem
 
 
 def _above(tree: RootedSpanningTree, mem: list[int]) -> list[int]:

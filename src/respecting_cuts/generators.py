@@ -4,6 +4,8 @@ All randomness flows through numpy's PCG64 behind SeedSequence, a named
 generator with documented, platform-independent streams.  Distinct
 purposes (tree edges, extra edges, walks, query sampling) draw from
 split child streams, so outputs are reproducible for a given seed.
+Every seed, selfcheck's included, goes through ``seed_sequence``, which
+refuses anything but a non-negative integer rather than convert it.
 """
 
 from __future__ import annotations
@@ -17,25 +19,30 @@ from .tree import RootedSpanningTree, _checked_root, build_rooted_tree
 STRATEGIES = ("bfs", "dfs", "uniform")
 
 
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """The SeedSequence of a seed: a Python or numpy integer of at least 0.
+    A bool, float, string or negative seed raises ValueError naming it."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed {seed!r} is not a non-negative integer")
+    return np.random.SeedSequence(int(seed))
+
+
 def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_seq))
 
 
 class _IntDraws:
-    """Buffered uniform draws from range(upper); one rng call per block."""
+    """Buffered uniform draws from range(upper); one rng call per 8192 draws."""
 
-    def __init__(self, rng: np.random.Generator, upper: int, block: int = 8192):
+    def __init__(self, rng: np.random.Generator, upper: int):
         self._rng = rng
         self._upper = upper
-        self._block = block
         self._buf: list[int] = []
         self._pos = 0
 
     def take(self) -> int:
         if self._pos >= len(self._buf):
-            self._buf = self._rng.integers(
-                0, self._upper, size=self._block
-            ).tolist()
+            self._buf = self._rng.integers(0, self._upper, size=8192).tolist()
             self._pos = 0
         val = self._buf[self._pos]
         self._pos += 1
@@ -89,7 +96,7 @@ def gen_connected_graph(n: int, target_m: int, seed: int) -> Graph:
         )
     if n == 1 and target_m > 0:
         raise ValueError("no non-loop edges exist on a single vertex")
-    tree_ss, extra_ss = np.random.SeedSequence(seed).spawn(2)
+    tree_ss, extra_ss = seed_sequence(seed).spawn(2)
     tree_edges = _wilson_complete(n, _generator(tree_ss))
     us = [a for a, _ in tree_edges]
     vs = [b for _, b in tree_edges]
@@ -179,7 +186,7 @@ def gen_spanning_tree(
             f"graph is disconnected: vertex {missing} unreachable from {root}"
         )
     if strategy == "uniform":  # the walk would never end on a disconnected graph
-        rng = _generator(np.random.SeedSequence(seed))
+        rng = _generator(seed_sequence(seed))
         ids = _wilson_tree_ids(graph, root, rng)
     return build_rooted_tree(graph, ids, root)
 
@@ -195,7 +202,7 @@ def gen_query_set(tree: RootedSpanningTree, k: int, seed: int) -> set[int]:
         raise QueryError(
             f"query size {k} out of range, need 1 <= k <= {n - 1}"
         )
-    rng = _generator(np.random.SeedSequence(seed))
+    rng = _generator(seed_sequence(seed))
     pool = np.array(
         [v for v in range(n) if v != tree.root], dtype=np.int64
     )

@@ -132,15 +132,8 @@ class Graph:
         return int(self.edge_u.shape[0])
 
     def iter_edges(self) -> Iterator[tuple[int, int, int]]:
-        us, vs, ws = self._edge_lists
-        return iter(zip(us, vs, ws))
-
-    @cached_property
-    def _edge_lists(self) -> tuple[list[int], list[int], list[int]]:
-        return (
-            self.edge_u.tolist(),
-            self.edge_v.tolist(),
-            self.edge_weight.tolist(),
+        return zip(
+            self.edge_u.tolist(), self.edge_v.tolist(), self.edge_weight.tolist()
         )
 
     @cached_property
@@ -238,13 +231,13 @@ def checked_vertex(graph: Graph, v) -> int:
 def checked_limit(max_k) -> int:
     """A query size limit as a plain int; None means DEFAULT_MAX_K.
 
-    Accepts Python and numpy integers and refuses anything else, as
-    checked_vertex does, because converting it would move the limit.
+    Refuses anything but a Python or numpy integer of at least 1: a
+    converted limit would move, and one below 1 would refuse every query.
     """
     if max_k is None:
         return DEFAULT_MAX_K
-    if not _is_integer(max_k):
-        raise QueryError(f"size limit {max_k!r} is not an integer")
+    if not (_is_integer(max_k) and max_k >= 1):
+        raise QueryError(f"size limit {max_k!r} is not an integer of at least 1")
     return int(max_k)
 
 
@@ -259,10 +252,25 @@ def checked_vertex_set(graph: Graph, members: Iterable[int]) -> set[int]:
     }
 
 
+def checked_query_set(graph: Graph, members: Iterable[int], root: int) -> list[int]:
+    """Members as a sorted list of distinct, checked, non-root vertex ids.
+
+    A repeated member is refused, not folded, because the subtree of a
+    vertex taken twice cancels out of a symmetric difference.
+    """
+    listed = list(members)
+    distinct = checked_vertex_set(graph, listed)
+    if len(distinct) != len(listed):
+        raise QueryError("duplicate vertices in query set")
+    if root in distinct:
+        raise QueryError(f"root {root} cannot appear in a query set")
+    return sorted(distinct)
+
+
 def cut_edge_set(graph: Graph, members: Iterable[int]) -> set[int]:
     """Ids of edges with exactly one endpoint inside the vertex set."""
     inside = checked_vertex_set(graph, members)
-    us, vs, _ = graph._edge_lists
+    us, vs = graph.edge_u.tolist(), graph.edge_v.tolist()
     return {
         eid
         for eid, (a, b) in enumerate(zip(us, vs))
@@ -275,5 +283,5 @@ def cut_size_direct(graph: Graph, members: Iterable[int]) -> int:
 
     Sums weights over cut_edge_set, edge by edge.
     """
-    ws = graph._edge_lists[2]
+    ws = graph.edge_weight.tolist()
     return sum(ws[eid] for eid in cut_edge_set(graph, members))

@@ -3,6 +3,8 @@
 Everything here favors the literal definition over speed: sets are
 materialized, edges are classified one by one, and no code is shared
 with the vectorized query engine beyond the graph module's input checks.
+Query sets pass the engine's ``checked_query_set``, so both refuse the
+same sets with the same messages: a repeated member is never folded.
 Subtrees come from a breadth-first search over the tree's edge ids and
 root alone, never from the tree's tables (parent, preorder, discovery
 intervals, child lists), so a fault in those tables cannot reach both
@@ -15,7 +17,7 @@ from collections import Counter
 from typing import Iterable, Mapping
 
 from .errors import KLimitExceeded, QueryError, UniverseMismatchError
-from .graph import Graph, _is_integer, checked_limit, checked_vertex_set, cut_edge_set
+from .graph import Graph, _is_integer, checked_limit, checked_query_set, cut_edge_set
 from .tree import RootedSpanningTree
 
 
@@ -71,17 +73,6 @@ def xor_size_by_inclusion_exclusion(
     return total
 
 
-def _checked_members(
-    tree: RootedSpanningTree, members: Iterable[int], min_size: int
-) -> set[int]:
-    out = checked_vertex_set(tree.graph, members)
-    if len(out) < min_size:
-        raise QueryError(f"query set needs at least {min_size} vertices")
-    if tree.root in out:
-        raise QueryError(f"root {tree.root} cannot appear in a query set")
-    return out
-
-
 def _subtrees(tree: RootedSpanningTree, members: Iterable[int]) -> list[set[int]]:
     """Vertex set of each member's subtree, in the order given.
 
@@ -89,7 +80,7 @@ def _subtrees(tree: RootedSpanningTree, members: Iterable[int]) -> list[set[int]
     over the tree edges cannot reach once v is removed.
     """
     graph = tree.graph
-    us, vs, _ = graph._edge_lists
+    us, vs = graph.edge_u.tolist(), graph.edge_v.tolist()
     nbrs: list[list[int]] = [[] for _ in range(graph.n)]
     for eid in tree.tree_edge_ids:
         nbrs[us[eid]].append(vs[eid])
@@ -111,7 +102,7 @@ def _subtrees(tree: RootedSpanningTree, members: Iterable[int]) -> list[set[int]
 
 def xor_of_subtrees(tree: RootedSpanningTree, members: Iterable[int]) -> set[int]:
     """Symmetric difference of the subtree vertex sets of the members."""
-    mem = _checked_members(tree, members, min_size=0)
+    mem = checked_query_set(tree.graph, members, tree.root)
     return symmetric_difference(_subtrees(tree, mem))
 
 
@@ -124,8 +115,10 @@ def oracle_k_wise_gamma(
     belongs to a subtree's cut exactly when one endpoint is inside and the
     other outside.
     """
-    mem = _checked_members(tree, members, min_size=1)
-    subs = _subtrees(tree, sorted(mem))
+    mem = checked_query_set(tree.graph, members, tree.root)
+    if not mem:
+        raise QueryError("query set must be nonempty")
+    subs = _subtrees(tree, mem)
     total = 0
     for u, v, w in graph.iter_edges():
         if all((u in s) != (v in s) for s in subs):
@@ -141,7 +134,7 @@ def check_cut_space_identity(
 
     Both sides are computed set-theoretically from the definitions.
     """
-    mem = _checked_members(tree, members, min_size=0)
+    mem = checked_query_set(tree.graph, members, tree.root)
     lhs = cut_edge_set(graph, xor_of_subtrees(tree, mem))
     rhs = symmetric_difference(
         [cut_edge_set(graph, sub) for sub in _subtrees(tree, mem)]

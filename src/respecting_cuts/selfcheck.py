@@ -27,6 +27,7 @@ from .gamma import (
     pairwise_gamma,
 )
 from .generators import STRATEGIES, gen_connected_graph, gen_query_set, gen_spanning_tree
+from .generators import _generator, seed_sequence
 from .graph import Graph, cut_edge_set, cut_size_direct
 from .oracle import check_cut_space_identity, oracle_k_wise_gamma, xor_of_subtrees
 from .tree import RootedSpanningTree
@@ -48,7 +49,7 @@ class SweepReport:
 
 
 def _master(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return _generator(seed_sequence(seed))
 
 
 def _next_seed(master: np.random.Generator) -> int:
@@ -469,8 +470,8 @@ def run_selfcheck(n_max: int = 8, trials: int = 200, seed: int = 7) -> SweepRepo
     them when the graph is small, a sample otherwise), one engine vs
     oracle comparison on a random query set, the dichotomy check, and
     the cut space identity.  Raises ValueError for fewer than one trial,
-    which would check nothing, and for an n_max below the three vertices
-    every drawn graph has.
+    which would check nothing, for an n_max below the three vertices
+    every drawn graph has, and for a seed that is not a non-negative integer.
     """
     if trials < 1:
         raise ValueError(f"selfcheck needs at least 1 trial, got {trials}")

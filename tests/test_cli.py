@@ -165,6 +165,16 @@ def test_selfcheck_refuses_a_run_that_checks_nothing(capsys, argv, shown):
     assert err.startswith("error:") and shown in err
 
 
+def test_negative_seed_is_named(capsys, f1_path):
+    for argv in (
+        ["selfcheck", "--seed", "-1"],
+        ["delta", "--graph", f1_path, "--tree", "uniform", "--seed", "-1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: seed -1 is not a non-negative integer\n"
+
+
 def test_missing_graph_file_exit_two(capsys, tmp_path):
     code, out, err = run(
         capsys, "delta", "--graph", str(tmp_path / "absent.g")

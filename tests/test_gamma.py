@@ -24,7 +24,11 @@ from respecting_cuts.generators import (
     gen_spanning_tree,
 )
 from respecting_cuts.graph import Graph, build_graph, cut_size_direct
-from respecting_cuts.oracle import oracle_k_wise_gamma, xor_of_subtrees
+from respecting_cuts.oracle import (
+    oracle_k_wise_gamma,
+    xor_of_subtrees,
+    xor_size_by_inclusion_exclusion,
+)
 from respecting_cuts.tree import _ancestor_table, _lca_batch, build_rooted_tree
 
 
@@ -163,6 +167,20 @@ def test_k_respecting_limit(f2):
     for bad in ("3", 2.9, 3.0, True):
         with pytest.raises(QueryError, match=f"limit {re.escape(repr(bad))} is"):
             k_respecting_cut_size(g, t, {1, 2, 3}, max_k=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -3])
+def test_limits_below_one_are_refused(f2, bad):
+    g, t = f2
+    for query in (
+        lambda: k_respecting_cut_size(g, t, {1, 2}, max_k=bad),
+        lambda: cut_size_via_tree(g, t, {1}, max_k=bad),
+        lambda: xor_size_by_inclusion_exclusion([{1}], max_k=bad),
+    ):
+        with pytest.raises(
+            QueryError, match=f"^size limit {bad} is not an integer of at least 1$"
+        ):
+            query()
 
 
 def test_cut_size_via_tree_fixtures(f1):

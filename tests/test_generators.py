@@ -1,3 +1,4 @@
+import re
 from collections import Counter, deque
 
 import numpy as np
@@ -13,6 +14,7 @@ from respecting_cuts.generators import (
     gen_spanning_tree,
 )
 from respecting_cuts.graph import build_graph
+from respecting_cuts.selfcheck import run_selfcheck
 
 
 def bfs_distances(graph, root):
@@ -161,6 +163,25 @@ def test_gen_query_set():
         with pytest.raises(QueryError, match="is not an integer"):
             gen_query_set(t, k, seed=8)
     assert gen_query_set(t, np.int64(5), seed=8) == members
+
+
+def test_every_seeded_draw_takes_one_seed_rule():
+    g = gen_connected_graph(12, 20, seed=3)
+    t = gen_spanning_tree(g, 4, seed=3, strategy="bfs")
+    draws = [
+        lambda seed: gen_connected_graph(12, 20, seed).edge_v.tolist(),
+        lambda seed: gen_spanning_tree(g, 4, seed, "uniform").tree_edge_ids,
+        lambda seed: gen_query_set(t, 5, seed),
+        lambda seed: run_selfcheck(n_max=4, trials=2, seed=seed),
+    ]
+    for seed in (True, 1.0, -1, "1"):
+        shown = f"^seed {re.escape(repr(seed))} is not a non-negative integer$"
+        for draw in draws:
+            with pytest.raises(ValueError, match=shown):
+                draw(seed)
+    for draw in draws:
+        assert draw(np.int64(3)) == draw(3)
+        draw(2**70)
 
 
 @given(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from respecting_cuts import cli, selfcheck
 from respecting_cuts.errors import (
     EdgeWeightError,
     EndpointRangeError,
@@ -21,6 +22,7 @@ from respecting_cuts.graph import (
     cut_edge_set,
     cut_size_direct,
 )
+from respecting_cuts.oracle import oracle_k_wise_gamma, xor_of_subtrees
 
 
 def test_basic_construction():
@@ -249,3 +251,23 @@ def test_adjacency_sorted():
         (1, 2),
         (2, 0),
     ]
+
+
+def test_graph_keeps_no_list_tables(multigraph):
+    # The edge arrays are the graph's one copy of its edges; each reader
+    # that walks edges one by one takes its own lists per call.
+    graph = multigraph
+    tree = gen_spanning_tree(graph, 7, 11, "dfs")
+    cut_edge_set(graph, {1, 2, 3})
+    cut_size_direct(graph, {1, 2, 3})
+    oracle_k_wise_gamma(graph, tree, [1, 2])
+    xor_of_subtrees(tree, [1, 2])
+    list(graph.iter_edges())
+    selfcheck._fail(selfcheck.SweepReport(), graph, tree)
+    cli._tree_ids_from_pairs(graph, f"{graph.edge_u[0]},{graph.edge_v[0]}")
+    held = [
+        part
+        for value in vars(graph).values()
+        for part in (value if isinstance(value, tuple) else (value,))
+    ]
+    assert not [part for part in held if isinstance(part, list)]

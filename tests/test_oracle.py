@@ -11,6 +11,7 @@ from respecting_cuts.errors import (
     QueryError,
     UniverseMismatchError,
 )
+from respecting_cuts.gamma import k_wise_gamma
 from respecting_cuts.generators import gen_connected_graph, gen_spanning_tree, gen_query_set
 from respecting_cuts.graph import Graph, cut_size_direct
 from respecting_cuts.oracle import (
@@ -135,6 +136,38 @@ def test_oracle_does_not_coerce_vertices(f1, members):
         xor_of_subtrees(t, members)
     with pytest.raises(QueryError):
         check_cut_space_identity(g, t, members)
+
+
+# Bad query sets on the triangle f1 (root 0, three vertices), each with
+# the message the engine and the oracle both give.
+BAD_QUERY_SETS = [
+    ([1, 1], "duplicate vertices in query set"),
+    ([0, 1], "root 0 cannot appear in a query set"),
+    ([1.5], "vertex 1.5 is not an integer vertex id"),
+    ([True], "vertex True is not an integer vertex id"),
+    (["1"], "vertex '1' is not an integer vertex id"),
+    ([3], "vertex 3 out of range for 3 vertices"),
+    ([], "query set must be nonempty"),
+]
+
+
+def test_engine_and_oracle_refuse_the_same_query_sets(f1):
+    g, t = f1
+    for members, message in BAD_QUERY_SETS:
+        refusals = []
+        for query in (k_wise_gamma, oracle_k_wise_gamma):
+            with pytest.raises(QueryError) as exc:
+                query(g, t, members)
+            refusals.append((type(exc.value), str(exc.value)))
+        assert refusals == [(QueryError, message)] * 2, members
+        if not members:
+            continue  # a symmetric difference of no subtrees is empty
+        with pytest.raises(QueryError, match=f"^{re.escape(message)}$"):
+            xor_of_subtrees(t, members)
+        with pytest.raises(QueryError, match=f"^{re.escape(message)}$"):
+            check_cut_space_identity(g, t, members)
+    assert xor_of_subtrees(t, []) == set()
+    assert check_cut_space_identity(g, t, [])
 
 
 def test_oracle_accepts_numpy_vertices(f1):

@@ -21,3 +21,17 @@ def test_case_frequencies_runs():
     assert done.returncode == 0, done.stderr
     headers = [line for line in done.stdout.splitlines() if not line.startswith(" ")]
     assert headers == [f"{strategy}:" for strategy in STRATEGIES]
+
+
+def test_case_frequencies_refuses_a_negative_seed():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "scripts/case_frequencies.py", "--trials", "1", "--seed", "-1"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode != 0
+    assert "seed -1 is not a non-negative integer" in done.stderr
