@@ -203,8 +203,6 @@ def gen_query_set(tree: RootedSpanningTree, k: int, seed: int) -> set[int]:
             f"query size {k} out of range, need 1 <= k <= {n - 1}"
         )
     rng = _generator(seed_sequence(seed))
-    pool = np.array(
-        [v for v in range(n) if v != tree.root], dtype=np.int64
-    )
+    pool = np.delete(np.arange(n, dtype=np.int64), tree.root)
     picks = rng.choice(pool, size=k, replace=False)
     return {int(v) for v in picks}

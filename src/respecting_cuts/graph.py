@@ -28,6 +28,7 @@ from .errors import (
 # cut computation (at most twice the total in magnitude) fit in int64.
 MAX_TOTAL_WEIGHT = 2**62
 _INT64 = np.iinfo(np.int64)
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def _is_integer(x) -> bool:
@@ -140,26 +141,58 @@ class Graph:
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Incidence of every vertex as a CSR triple (offsets, neighbours,
         edge ids): the edges at v are positions offsets[v]:offsets[v + 1],
-        sorted by (neighbour, edge id)."""
-        csr = _incidence(self.n, self.edge_u, self.edge_v, np.arange(self.m))
+        sorted by (neighbour, edge id), as one argsort of the edges' arcs
+        leaves them (see _arc_order).  Offsets are int64; neighbours and
+        edge ids are int32 while n and m fit in it (see _index_dtype)."""
+        csr = _incidence(self.n, self.edge_u, self.edge_v)
         for arr in csr:
             arr.setflags(write=False)
         return csr
 
 
-def _incidence(
-    n: int, u: np.ndarray, v: np.ndarray, edge_ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR incidence of the edges edge_ids with endpoints u, v on n
-    vertices; each edge appears at both endpoints, and the entries of a
-    vertex are sorted by (neighbour, edge id)."""
-    src = np.concatenate((u, v))
-    dst = np.concatenate((v, u))
-    ids = np.concatenate((edge_ids, edge_ids))
-    by_vertex = np.lexsort((ids, dst, src))
+def _index_dtype(*bounds: int) -> type[np.signedinteger]:
+    """The dtype of an index array whose entries stay below every bound:
+    int32 while each bound fits in it, which halves what the array
+    costs, int64 otherwise."""
+    return np.int32 if max(bounds, default=0) <= _INT32_MAX else np.int64
+
+
+def _arc_order(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the arcs of the edges whose endpoints ``ends`` interleaves
+    (u0, v0, u1, v1, ...): arc j runs from ends[j] to ends[j ^ 1], so it
+    belongs to edge j >> 1.  Returns the CSR offsets of the arcs by
+    source on n vertices and the arc ids sorted by (source, destination,
+    arc id); within one source that is (neighbour, edge id) order."""
+    arcs = len(ends)
+    key = ends * n + ends.reshape(-1, 2)[:, ::-1].ravel()
+    order = np.argsort(key)
+    # Parallel edges tie on their key, and the sort leaves ties in no
+    # particular order: put each run of equal keys back into arc order.
+    key = key[order]
+    same = np.zeros(arcs, dtype=bool)  # equal to the key before it
+    same[1:] = key[1:] == key[:-1]
+    tied = same.copy()
+    tied[:-1] |= same[1:]
+    at = np.flatnonzero(tied)
+    run = np.cumsum(~same[at])
+    members = order[at]
+    order[at] = members[np.lexsort((members, run))]
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return offsets, dst[by_vertex], ids[by_vertex]
+    np.cumsum(np.bincount(ends, minlength=n), out=offsets[1:])
+    return offsets, order
+
+
+def _incidence(
+    n: int, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR incidence (offsets, neighbours, edge ids) of the edges with
+    endpoints u, v on n vertices, edge ids being positions in u and v;
+    each edge appears at both endpoints, and the entries of a vertex are
+    sorted by (neighbour, edge id)."""
+    ends = np.stack((u, v), axis=1).ravel()
+    offsets, order = _arc_order(n, ends)
+    dtype = _index_dtype(n, len(u))
+    return offsets, ends[order ^ 1].astype(dtype), (order >> 1).astype(dtype)
 
 
 def _preorder(

@@ -1,11 +1,19 @@
 """Rooted spanning tree with constant-time ancestry tests.
 
-Every table comes from one depth-first preorder of the tree edges, run
-by the graph module's traversal (the one the ``dfs`` strategy runs on
-the whole graph): discovery index = preorder position, one forward pass
-for depth, one reversed pass for subtree sizes, and finish index =
-discovery + size - 1.  Discovery intervals give O(1) subtree membership:
-u lies in the subtree of v exactly when
+Every table comes from one Euler tour of the tree edges (Tarjan and
+Vishkin), built with numpy alone and no per-vertex loop.  The edges'
+arcs are sorted by (source, destination) as the graph's CSR is, and the
+tour leaves each vertex by the arc after the one it came in on.  Its
+positions come from list ranking by pointer jumping (Wyllie), in
+ceil(log2 2n) rounds.  An arc that comes before its twin on the tour
+leads from parent to child, and the tour walks the child's subtree
+between the two, which gives parent, parent edge and subtree size.  The
+preorder visits children in ascending vertex order: a child's
+discovery index exceeds its parent's by one plus the sizes of its
+smaller siblings, and prefix sums of those gaps along the tour give
+every discovery index, and the depth likewise; the finish index is
+discovery + size - 1.  Discovery intervals give O(1) subtree
+membership: u lies in the subtree of v exactly when
 euler_in(v) <= euler_in(u) <= euler_out(v), and the subtree of v is the
 preorder slice between them.  Child lists, which no query reads, and
 the subtree cut sizes, which one lowest-common-ancestor pass over the
@@ -21,9 +29,9 @@ import numpy as np
 from .errors import QueryError, TreeStructureError
 from .graph import (
     Graph,
-    _incidence,
+    _arc_order,
+    _index_dtype,
     _is_integer,
-    _preorder,
     checked_vertex,
     checked_vertex_set,
 )
@@ -65,57 +73,21 @@ class RootedSpanningTree:
     def __init__(self, graph: Graph, tree_edge_ids: Iterable[int], root: int):
         n, m = graph.n, graph.m
         root = _checked_root(graph, root)
-        listed = list(tree_edge_ids)
-        for eid in listed:
-            if type(eid) is not int and not _is_integer(eid):
-                raise TreeStructureError(
-                    f"tree edge id {eid!r} is not an integer"
-                )
-        ids = sorted(map(int, listed))
-        for a, b in zip(ids, ids[1:]):
-            if a == b:
-                raise TreeStructureError(f"tree edge id {a} is repeated")
-        if len(ids) != n - 1:
-            raise TreeStructureError(
-                f"a spanning tree of {n} vertices needs {n - 1} distinct "
-                f"edges, got {len(ids)}"
-            )
-        for eid in ids:
-            if not 0 <= eid < m:
-                raise TreeStructureError(
-                    f"tree edge id {eid} out of range for {m} edges"
-                )
-
-        edges = np.array(ids, dtype=np.int64)
-        parent, parent_edge, order = _preorder(
-            _incidence(n, graph.edge_u[edges], graph.edge_v[edges], edges), root
+        ids = _checked_edge_ids(tree_edge_ids, n, m)
+        # Every table holds vertex or edge ids below max(n, m).
+        dtype = _index_dtype(n, m)
+        parent, parent_edge, depth, tin, tout, order = _euler_tables(
+            graph, ids, root, dtype
         )
-        if len(order) != n:
-            missing = min(set(range(n)).difference(order))
-            raise TreeStructureError(
-                f"tree edges do not span the graph: vertex {missing} is "
-                f"unreachable from root {root}"
-            )
-        depth = [0] * n
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-        size = [1] * n
-        for v in reversed(order[1:]):
-            size[parent[v]] += size[v]
-        tin = np.empty(n, dtype=np.int64)
-        tin[order] = np.arange(n)
 
         self.graph = graph
         self.root = root
-        self.tree_edge_ids = frozenset(ids)
-        # Every table holds vertex or edge ids below max(n, m); int32 halves
-        # what they cost whenever those fit.
-        dtype = np.int32 if max(n, m) <= np.iinfo(np.int32).max else np.int64
+        self.tree_edge_ids = frozenset(ids.tolist())
         self.parent = _frozen(parent, dtype)
         self.parent_edge = _frozen(parent_edge, dtype)
         self.depth = _frozen(depth, dtype)
         self.euler_in = _frozen(tin, dtype)
-        self.euler_out = _frozen(tin + np.array(size) - 1, dtype)
+        self.euler_out = _frozen(tout, dtype)
         self.order = _frozen(order, dtype)
         # Filled by edge_euler_in, subtree_cut and children.  Assigned
         # here, not by a cached_property, so that the attribute layout of
@@ -240,6 +212,160 @@ class RootedSpanningTree:
         return set(np.flatnonzero(crossing).tolist()), (self.root in inside)
 
 
+def _euler_tables(
+    graph: Graph, ids: np.ndarray, root: int, dtype: type[np.signedinteger]
+) -> tuple[np.ndarray, ...]:
+    """The tables parent, parent_edge, depth, euler_in, euler_out and
+    order, as arrays of dtype, of the tree that the edges ids form rooted
+    at root, from one Euler tour of their arcs.  Raises
+    TreeStructureError, naming the smallest unreachable vertex, unless
+    the edges span the graph."""
+    n = graph.n
+    ends = np.stack((graph.edge_u[ids], graph.edge_v[ids]), axis=1).ravel()
+    arcs = len(ends)
+    idx = _index_dtype(2 * arcs)  # tour ranks stay below 2 * arcs
+    offsets, order = _arc_order(n, ends)
+    order = order.astype(idx)
+    at = np.empty(arcs, dtype=idx)
+    at[order] = np.arange(arcs, dtype=idx)
+    twin = at[order ^ 1]  # the same edge's reverse arc
+    ends = ends.astype(dtype)
+    src, dst = ends[order], ends[order ^ 1]
+    # The tour leaves dst by the arc after twin around dst, cyclically.
+    succ = twin + 1
+    wrap = succ == offsets[dst + 1]
+    succ[wrap] = offsets[dst[wrap]]
+    pos = _tour_positions(offsets, succ, root)
+    if pos is None:
+        raise TreeStructureError(
+            f"tree edges do not span the graph: vertex "
+            f"{_first_unreached(n, ends, root)} is unreachable from root {root}"
+        )
+
+    # The tour enters each child by a down arc, before its twin leaves it,
+    # and walks the child's subtree in between.
+    down = np.flatnonzero(pos < pos[twin])
+    child, back = dst[down], twin[down]
+    parent = np.full(n, -1, dtype=dtype)
+    parent[child] = src[down]
+    parent_edge = np.full(n, -1, dtype=dtype)
+    parent_edge[child] = ids[order[down] >> 1]
+    size = np.full(n, n, dtype=dtype)
+    size[child] = (pos[back] - pos[down] + 1) >> 1
+    # A child's preorder index exceeds its parent's by one plus the sizes
+    # of its smaller siblings.  Down arcs sit in CSR order, so siblings
+    # are adjacent and ascending: a segmented exclusive sum.
+    span = size[child]
+    before = np.cumsum(span) - span
+    first = np.flatnonzero(np.diff(src[down], prepend=-1))
+    gap = before - np.repeat(before[first], np.diff(first, append=len(down))) + 1
+    # In tour order a down arc adds its child's gap and the twin takes it
+    # back, so the running sum at a down arc adds up the gaps along the
+    # child's root path: its preorder index.  Steps of one give its depth
+    # the same way.
+    walk = np.empty(arcs, dtype=idx)
+    tin = np.zeros(n, dtype=dtype)
+    walk[pos[down]] = gap
+    walk[pos[back]] = -gap
+    tin[child] = np.cumsum(walk)[pos[down]]
+    depth = np.zeros(n, dtype=dtype)
+    walk[pos[down]] = 1
+    walk[pos[back]] = -1
+    depth[child] = np.cumsum(walk)[pos[down]]
+    order = np.empty(n, dtype=dtype)
+    order[tin] = np.arange(n, dtype=dtype)
+    return parent, parent_edge, depth, tin, tin + size - 1, order
+
+
+def _checked_edge_ids(tree_edge_ids: Iterable[int], n: int, m: int) -> np.ndarray:
+    """The tree edge ids as a sorted int64 array.
+
+    Refuses with TreeStructureError, in this order: the first entry that
+    is not an integer (Python or numpy, not a bool), the smallest
+    repeated id, a count other than n - 1, and the smallest id outside
+    [0, m).
+    """
+    listed = list(tree_edge_ids)
+    try:
+        ids = np.array(listed) if listed else np.zeros(0, dtype=np.int64)
+    except ValueError:  # numpy refuses ragged nestings of sequences
+        ids = np.array(listed, dtype=object)
+    # np.array reads bools mixed with ints as ints.
+    if ids.dtype.kind not in "iu" or ids.ndim != 1 or {bool, np.bool_} & set(
+        map(type, listed)
+    ):
+        for eid in listed:
+            if not _is_integer(eid):
+                raise TreeStructureError(f"tree edge id {eid!r} is not an integer")
+        ids = np.array(listed, dtype=object)  # integers beyond int64
+    ids = np.sort(ids)
+    repeated = ids[1:] == ids[:-1]
+    if repeated.any():
+        raise TreeStructureError(
+            f"tree edge id {int(ids[np.argmax(repeated)])} is repeated"
+        )
+    if len(ids) != n - 1:
+        raise TreeStructureError(
+            f"a spanning tree of {n} vertices needs {n - 1} distinct "
+            f"edges, got {len(ids)}"
+        )
+    outside = (ids < 0) | (ids >= m)
+    if outside.any():
+        raise TreeStructureError(
+            f"tree edge id {int(ids[np.argmax(outside)])} out of range for {m} edges"
+        )
+    return ids.astype(np.int64)
+
+
+def _tour_positions(
+    offsets: np.ndarray, succ: np.ndarray, root: int
+) -> np.ndarray | None:
+    """Position of every arc on the Euler tour from the root's first arc,
+    given the arcs' CSR offsets and successors; None unless the n - 1
+    edges form a spanning tree.  They do exactly when every vertex has an
+    arc and the tour covers every arc: one face over all arcs and all n
+    vertices leaves genus 0 by Euler's formula, so the edges connect.
+
+    The tour is cut before it returns to the first arc and ranked by
+    pointer jumping (Wyllie) in ceil(log2 len(succ)) rounds; arcs off it
+    get meaningless positions.
+    """
+    arcs = len(succ)
+    if not arcs:  # a single vertex
+        return succ
+    if (offsets[1:] == offsets[:-1]).any():
+        return None
+    first = int(offsets[root])
+    last = int(np.flatnonzero(succ == first)[0])
+    succ = succ.copy()
+    succ[last] = last
+    rank = np.ones(arcs, dtype=succ.dtype)  # arcs left to the end
+    rank[last] = 0
+    for _ in range((arcs - 1).bit_length()):
+        rank += rank[succ]
+        succ = succ[succ]
+    return arcs - 1 - rank if rank[first] == arcs - 1 else None
+
+
+def _first_unreached(n: int, ends: np.ndarray, root: int) -> int:
+    """The smallest vertex that the edges interleaved in ends (u0, v0,
+    u1, v1, ...) do not connect to root.  Labels every vertex with the
+    smallest vertex of its component: each round hooks every label to the
+    smallest label next to it, then jumps pointers until labels settle."""
+    label = np.arange(n)
+    while True:
+        la, lb = label[ends[0::2]], label[ends[1::2]]
+        low = np.minimum(la, lb)
+        hooked = label.copy()
+        np.minimum.at(hooked, la, low)
+        np.minimum.at(hooked, lb, low)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return int(np.argmax(label != label[root]))
+        label = hooked
+
+
 def _ancestor_table(tree: RootedSpanningTree) -> np.ndarray:
     """Binary-lifting table; row j holds the 2^j-th ancestor (root fixed).
     No lift is longer than the tree's height, so the rows stop there."""
@@ -279,7 +405,7 @@ _LCA_CHUNK = 1 << 16
 
 
 def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    arr = np.asarray(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 

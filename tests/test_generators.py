@@ -209,3 +209,32 @@ def test_spanning_trees_span(n, seed, strategy):
     t = gen_spanning_tree(g, root, seed, strategy)
     assert len(t.tree_edge_ids) == n - 1
     assert all(t.depth_of(v) >= 0 for v in range(n))
+
+
+def test_query_set_draws_are_pinned():
+    # Draws recorded before the candidate pool became a numpy range, as
+    # (n, m, graph seed, root, strategy) -> {(draw seed, k): members}.
+    pinned = {
+        (12, 20, 3, 4, "bfs"): {
+            (0, 1): [10],
+            (8, 5): [1, 2, 6, 9, 10],
+            (3, 7): [0, 1, 5, 8, 9, 10, 11],
+            (2**40, 11): [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11],
+        },
+        (50, 120, 1, 0, "uniform"): {
+            (0, 1): [42],
+            (8, 5): [9, 12, 16, 33, 48],
+            (3, 7): [4, 9, 11, 35, 39, 43, 47],
+            (2**40, 11): [8, 15, 16, 22, 27, 29, 34, 35, 36, 44, 45],
+        },
+        (300, 900, 2, 17, "dfs"): {
+            (0, 1): [255],
+            (8, 5): [53, 70, 97, 213, 295],
+            (3, 7): [26, 53, 54, 71, 238, 239, 260],
+            (2**40, 11): [47, 93, 105, 111, 131, 183, 184, 206, 233, 267, 293],
+        },
+    }
+    for (n, m, seed, root, strategy), draws in pinned.items():
+        tree = gen_spanning_tree(gen_connected_graph(n, m, seed), root, seed, strategy)
+        for (draw_seed, k), members in draws.items():
+            assert sorted(gen_query_set(tree, k, draw_seed)) == members

@@ -18,6 +18,7 @@ from respecting_cuts.generators import gen_spanning_tree
 from respecting_cuts.graph import (
     MAX_TOTAL_WEIGHT,
     Graph,
+    _index_dtype,
     build_graph,
     cut_edge_set,
     cut_size_direct,
@@ -251,6 +252,16 @@ def test_adjacency_sorted():
         (1, 2),
         (2, 0),
     ]
+
+
+def test_index_dtype_boundary():
+    # No instance reaches 2**31 vertices or edges, so the rule is tested
+    # as a function of the vertex count n and the edge count m.
+    top = 2**31 - 1
+    assert _index_dtype(top, top) is np.int32
+    assert _index_dtype(top + 1, 1) is np.int64
+    assert _index_dtype(1, top + 1) is np.int64
+    assert _index_dtype(1, 0) is np.int32
 
 
 def test_graph_keeps_no_list_tables(multigraph):

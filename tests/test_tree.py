@@ -13,8 +13,13 @@ from respecting_cuts.gamma import (
     k_respecting_cut_size,
     pairwise_gamma,
 )
-from respecting_cuts.generators import gen_connected_graph, gen_spanning_tree
-from respecting_cuts.graph import build_graph, cut_edge_set
+from respecting_cuts import tree as tree_mod
+from respecting_cuts.generators import (
+    STRATEGIES,
+    gen_connected_graph,
+    gen_spanning_tree,
+)
+from respecting_cuts.graph import _preorder, build_graph, cut_edge_set, cut_size_direct
 from respecting_cuts.oracle import xor_of_subtrees
 from respecting_cuts.tree import build_rooted_tree
 
@@ -296,3 +301,135 @@ def test_tree_keeps_no_list_tables(multigraph):
     assert lists() == []
     tree.children
     assert lists() == ["_children"]
+
+
+@pytest.mark.parametrize(
+    "n, edges, tree_ids, root, message",
+    [
+        # n - 1 edges holding a cycle through the root.
+        (5, [(0, 2), (2, 4), (4, 0), (1, 3)], [0, 1, 2, 3], 0,
+         "tree edges do not span the graph: vertex 1 is unreachable from root 0"),
+        # Three parallel edges at the root: every edge is reached, two
+        # vertices are not.
+        (4, [(0, 1), (1, 0), (0, 1), (2, 3)], [0, 1, 2], 0,
+         "tree edges do not span the graph: vertex 2 is unreachable from root 0"),
+        (4, [(0, 1), (1, 0), (0, 1), (2, 3)], [0, 1, 2], 1,
+         "tree edges do not span the graph: vertex 2 is unreachable from root 1"),
+        # A cycle away from the root.
+        (5, [(2, 3), (3, 4), (4, 2), (0, 1)], [0, 1, 2, 3], 0,
+         "tree edges do not span the graph: vertex 2 is unreachable from root 0"),
+        (5, [(0, 1), (1, 2), (2, 0), (3, 4)], [0, 1, 2, 3], 3,
+         "tree edges do not span the graph: vertex 0 is unreachable from root 3"),
+        # A root, or another vertex, without tree edges.
+        (4, [(0, 1), (1, 2), (2, 0), (0, 1)], [0, 1, 2], 3,
+         "tree edges do not span the graph: vertex 0 is unreachable from root 3"),
+        (4, [(0, 1), (1, 2), (2, 0), (0, 1)], [0, 1, 2], 2,
+         "tree edges do not span the graph: vertex 3 is unreachable from root 2"),
+        # One and two vertices.
+        (1, [], [0], 0, "a spanning tree of 1 vertices needs 0 distinct edges, got 1"),
+        (2, [(0, 1), (1, 0)], [], 0,
+         "a spanning tree of 2 vertices needs 1 distinct edges, got 0"),
+        (2, [(0, 1), (1, 0)], [0, 1], 1,
+         "a spanning tree of 2 vertices needs 1 distinct edges, got 2"),
+        (2, [(0, 1), (1, 0)], [2], 1, "tree edge id 2 out of range for 2 edges"),
+        (2, [(0, 1), (1, 0)], [-1], 1, "tree edge id -1 out of range for 2 edges"),
+        # The smallest offending id is named, whatever the input order.
+        (4, [(0, 1), (1, 2), (2, 3)], [2**70, 0, 1], 0,
+         "tree edge id 1180591620717411303424 out of range for 3 edges"),
+        (4, [(0, 1), (1, 2), (2, 3)], [9, -5, 1], 0,
+         "tree edge id -5 out of range for 3 edges"),
+        (4, [(0, 1), (1, 2), (2, 3)], [2, 1, 2, 1], 0, "tree edge id 1 is repeated"),
+    ],
+)
+def test_nonspanning_messages_are_pinned(n, edges, tree_ids, root, message):
+    graph = build_graph(n, edges)
+    with pytest.raises(TreeStructureError, match=f"^{re.escape(message)}$"):
+        build_rooted_tree(graph, tree_ids, root)
+
+
+def _lexsorted_csr(n, u, v, ids):
+    src = np.concatenate((u, v))
+    dst = np.concatenate((v, u))
+    eid = np.concatenate((ids, ids))
+    by = np.lexsort((eid, dst, src))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst[by], eid[by]
+
+
+def _reference_tables(graph, tree_ids, root):
+    """Every tree table from a lexsorted CSR of the tree edges, the
+    depth-first _preorder over it and one loop each for depth and size."""
+    n = graph.n
+    ids = np.array(sorted(tree_ids), dtype=np.int64)
+    csr = _lexsorted_csr(n, graph.edge_u[ids], graph.edge_v[ids], ids)
+    parent, parent_edge, order = _preorder(csr, root)
+    depth = [0] * n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    tin = [0] * n
+    for i, v in enumerate(order):
+        tin[v] = i
+    return {
+        "parent": parent,
+        "parent_edge": parent_edge,
+        "depth": depth,
+        "euler_in": tin,
+        "euler_out": [tin[v] + size[v] - 1 for v in range(n)],
+        "order": order,
+    }
+
+
+def _star_and_path():
+    rng = np.random.default_rng(9)
+    star = [(0, leaf) for leaf in range(1, 40)] + [(3, 0), (5, 9), (9, 5)]
+    path = [(i, i + 1) for i in range(59)] + [(12, 11), (0, 59), (30, 34)]
+    graphs = []
+    for n, edges in ((40, star), (60, path)):
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        graphs.append(build_graph(n, edges))
+    return graphs
+
+
+def test_tables_match_reference(multigraph, deep_dfs_tree):
+    star, path = _star_and_path()
+    cases = [
+        (build_graph(1, []), [], 0),
+        (build_graph(2, [(1, 0), (0, 1)]), [1], 0),
+        (build_graph(2, [(1, 0), (0, 1)]), [0], 1),
+        (deep_dfs_tree.graph, deep_dfs_tree.tree_edge_ids, deep_dfs_tree.root),
+    ]
+    for graph in (multigraph, star, path, gen_connected_graph(300, 700, seed=12)):
+        for strategy in STRATEGIES:
+            for root in (0, graph.n // 2, graph.n - 1):
+                tree = gen_spanning_tree(graph, root, root + 1, strategy)
+                cases.append((graph, tree.tree_edge_ids, root))
+    for graph, tree_ids, root in cases:
+        tree = build_rooted_tree(graph, tree_ids, root)
+        for name, expected in _reference_tables(graph, tree_ids, root).items():
+            assert getattr(tree, name).tolist() == expected, (graph.n, root, name)
+        offsets, nbrs, eids = graph.adjacency
+        expected = _lexsorted_csr(
+            graph.n, graph.edge_u, graph.edge_v, np.arange(graph.m)
+        )
+        assert offsets.tolist() == expected[0].tolist()
+        assert nbrs.tolist() == expected[1].tolist()
+        assert eids.tolist() == expected[2].tolist()
+        assert nbrs.dtype == eids.dtype == np.int32
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_subtree_cut_crosses_lca_chunks(monkeypatch, multigraph, chunk):
+    # Chunks far smaller than the edge count, so every edge past the
+    # first chunk must still reach the counters.
+    monkeypatch.setattr(tree_mod, "_LCA_CHUNK", chunk)
+    graphs = (multigraph, gen_connected_graph(40, 120, seed=8))
+    for graph in graphs:
+        for strategy in STRATEGIES:
+            tree = gen_spanning_tree(graph, 5, 6, strategy)
+            assert tree.subtree_cut.tolist() == [
+                cut_size_direct(graph, tree.subtree_members(v)) for v in range(graph.n)
+            ]
