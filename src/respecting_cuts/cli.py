@@ -172,7 +172,7 @@ def _read_id_argument(arg: str) -> list[int]:
     return _parse_int_list(arg)
 
 
-def _tree_ids_from_pairs(graph: Graph, text: str) -> set[int]:
+def _tree_ids_from_pairs(graph: Graph, text: str) -> list[int]:
     """Map 'u,v;u,v;...' endpoint pairs to edge ids, consuming parallel
     edges lowest id first."""
     by_pair: dict[tuple[int, int], deque[int]] = {}
@@ -180,7 +180,7 @@ def _tree_ids_from_pairs(graph: Graph, text: str) -> set[int]:
     for eid in range(graph.m):
         key = (us[eid], vs[eid]) if us[eid] < vs[eid] else (vs[eid], us[eid])
         by_pair.setdefault(key, deque()).append(eid)
-    ids: set[int] = set()
+    ids: list[int] = []
     tokens = [t for t in text.replace("\n", ";").split(";") if t.strip()]
     for token in tokens:
         pair = _parse_int_list(token)
@@ -193,7 +193,7 @@ def _tree_ids_from_pairs(graph: Graph, text: str) -> set[int]:
             raise ValueError(
                 f"tree edge ({a},{b}) not available in the graph"
             )
-        ids.add(pool.popleft())
+        ids.append(pool.popleft())
     return ids
 
 

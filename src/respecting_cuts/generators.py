@@ -114,30 +114,30 @@ def gen_connected_graph(n: int, target_m: int, seed: int) -> Graph:
     return Graph.from_arrays(n, us, vs, [1] * target_m)
 
 
-def _bfs_tree_ids(graph: Graph, root: int) -> tuple[set[int], list[int]]:
+def _bfs_tree_ids(graph: Graph, root: int) -> tuple[list[int], list[int]]:
     offsets, nbrs, eids = map(memoryview, graph.adjacency)
     seen = [False] * graph.n
     seen[root] = True
     queue = [root]
-    ids: set[int] = set()
+    ids: list[int] = []
     for v in queue:  # the loop also visits what it appends
         for i in range(offsets[v], offsets[v + 1]):
             w = nbrs[i]
             if not seen[w]:
                 seen[w] = True
-                ids.add(eids[i])
+                ids.append(eids[i])
                 queue.append(w)
     return ids, queue
 
 
-def _dfs_tree_ids(graph: Graph, root: int) -> tuple[set[int], list[int]]:
+def _dfs_tree_ids(graph: Graph, root: int) -> tuple[list[int], list[int]]:
     _, parent_edge, order = _preorder(graph.adjacency, root)
-    return {parent_edge[v] for v in order[1:]}, order
+    return [parent_edge[v] for v in order[1:]], order
 
 
 def _wilson_tree_ids(
     graph: Graph, root: int, rng: np.random.Generator
-) -> set[int]:
+) -> list[int]:
     """Uniform spanning tree of the graph itself, walking incident edges."""
     offsets, nbrs, eids = map(memoryview, graph.adjacency)
     n = graph.n
@@ -159,7 +159,7 @@ def _wilson_tree_ids(
         while not in_tree[u]:
             in_tree[u] = True
             u = succ_vertex[u]
-    return {succ_edge[v] for v in range(n) if v != root}
+    return [succ_edge[v] for v in range(n) if v != root]
 
 
 def gen_spanning_tree(

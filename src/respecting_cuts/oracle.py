@@ -82,7 +82,7 @@ def _subtrees(tree: RootedSpanningTree, members: Iterable[int]) -> list[set[int]
     graph = tree.graph
     us, vs = graph.edge_u.tolist(), graph.edge_v.tolist()
     nbrs: list[list[int]] = [[] for _ in range(graph.n)]
-    for eid in tree.tree_edge_ids:
+    for eid in tree.tree_edge_ids.tolist():
         nbrs[us[eid]].append(vs[eid])
         nbrs[vs[eid]].append(us[eid])
     everything = set(range(graph.n))

@@ -8,6 +8,10 @@ Instances come from one seeded master stream through ``_draw_graph``,
 ``_draw_tree`` and ``_draw_query``.  The order of the master draws is
 part of each acceptance corpus: reordering, adding or dropping one
 silently changes what every gate checks.
+
+Every engine call that takes a size limit passes ``graph.n`` as
+``max_k``: the limit guards users against slow queries, and the checker
+must reach every set.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def _fail(rep, graph, tree, **payload) -> SweepReport:
         "n": graph.n,
         "edges": [[u, v, w] for u, v, w in graph.iter_edges()],
         "root": tree.root,
-        "tree_edges": sorted(tree.tree_edge_ids),
+        "tree_edges": tree.tree_edge_ids.tolist(),
         **payload,
     }
     return rep
@@ -107,7 +111,9 @@ def _check_cut_sizes(rep, graph, tree, table, masks) -> SweepReport | None:
     for bits in masks:
         members = {v for v in range(graph.n) if bits >> v & 1}
         expected = cut_size_direct(graph, members)
-        actual, basis = cut_size_via_tree(graph, tree, members, table=table)
+        actual, basis = cut_size_via_tree(
+            graph, tree, members, table=table, max_k=graph.n
+        )
         if _compare(
             rep,
             graph,
@@ -204,7 +210,9 @@ def random_set_sweep(
         table = GammaTable(graph, tree)
         rep.graphs += 1
 
-        size = k_respecting_cut_size(graph, tree, members, table=table)
+        size = k_respecting_cut_size(
+            graph, tree, members, table=table, max_k=graph.n
+        )
         expected = cut_size_direct(graph, xor_of_subtrees(tree, members))
         kind = "k_respecting_cut_size vs direct cut of xor"
         if _compare(
@@ -392,7 +400,7 @@ def two_respecting_sweep(
             closed_form -= (-1) ** t * (delta[x] + delta[y] - c2)
 
         expected = cut_size_direct(graph, xor_of_subtrees(tree, members))
-        engine = k_respecting_cut_size(graph, tree, members)
+        engine = k_respecting_cut_size(graph, tree, members, None, graph.n)
         for actual, reference, kind in (
             (closed_form, expected, "closed form vs direct cut of xor"),
             (engine, closed_form, "k_respecting_cut_size vs closed form"),
@@ -426,7 +434,7 @@ def tree_edge_structure_sweep(
         tree = _draw_tree(master, graph, STRATEGIES[gi % len(STRATEGIES)])
         rep.graphs += 1
         n = graph.n
-        tree_ids = tree.tree_edge_ids
+        tree_ids = set(tree.tree_edge_ids.tolist())
         non_root = [v for v in range(n) if v != tree.root]
 
         for v in non_root:
@@ -471,12 +479,15 @@ def run_selfcheck(n_max: int = 8, trials: int = 200, seed: int = 7) -> SweepRepo
     oracle comparison on a random query set, the dichotomy check, and
     the cut space identity.  Raises ValueError for fewer than one trial,
     which would check nothing, for an n_max below the three vertices
-    every drawn graph has, and for a seed that is not a non-negative integer.
+    every drawn graph has or above the 63 that an int64 vertex bitmask
+    holds, and for a seed that is not a non-negative integer.
     """
     if trials < 1:
         raise ValueError(f"selfcheck needs at least 1 trial, got {trials}")
     if n_max < 3:
         raise ValueError(f"selfcheck needs n of at least 3, got {n_max}")
+    if n_max > 63:  # vertex sets are drawn as int64 bitmasks
+        raise ValueError(f"selfcheck takes n of at most 63, got {n_max}")
     master = _master(seed)
     rep = SweepReport()
     for trial in range(trials):

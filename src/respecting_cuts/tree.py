@@ -32,6 +32,7 @@ from .graph import (
     _arc_order,
     _index_dtype,
     _is_integer,
+    _preorder,
     checked_vertex,
     checked_vertex_set,
 )
@@ -56,8 +57,9 @@ class RootedSpanningTree:
       at the root), built on first use
 
     plus ``children``, child lists each sorted ascending and built on
-    first use, and ``tree_edge_ids``, the frozenset of the n-1 edge ids
-    forming the tree.
+    first use, and ``tree_edge_ids``, the n-1 edge ids forming the tree
+    in ascending order: a read-only array of the tables' dtype, and the
+    tree's only record of its edges.
 
     The root and the tree edge ids must be integers (Python or numpy,
     not bools); anything else is refused with TreeStructureError rather
@@ -73,16 +75,16 @@ class RootedSpanningTree:
     def __init__(self, graph: Graph, tree_edge_ids: Iterable[int], root: int):
         n, m = graph.n, graph.m
         root = _checked_root(graph, root)
-        ids = _checked_edge_ids(tree_edge_ids, n, m)
         # Every table holds vertex or edge ids below max(n, m).
         dtype = _index_dtype(n, m)
+        ids = _frozen(_checked_edge_ids(tree_edge_ids, n, m), dtype)
         parent, parent_edge, depth, tin, tout, order = _euler_tables(
             graph, ids, root, dtype
         )
 
         self.graph = graph
         self.root = root
-        self.tree_edge_ids = frozenset(ids.tolist())
+        self.tree_edge_ids = ids
         self.parent = _frozen(parent, dtype)
         self.parent_edge = _frozen(parent_edge, dtype)
         self.depth = _frozen(depth, dtype)
@@ -237,9 +239,11 @@ def _euler_tables(
     succ[wrap] = offsets[dst[wrap]]
     pos = _tour_positions(offsets, succ, root)
     if pos is None:
+        _, _, reached = _preorder((offsets, dst, order >> 1), root)
+        missing = min(set(range(n)).difference(reached))
         raise TreeStructureError(
-            f"tree edges do not span the graph: vertex "
-            f"{_first_unreached(n, ends, root)} is unreachable from root {root}"
+            f"tree edges do not span the graph: vertex {missing} is "
+            f"unreachable from root {root}"
         )
 
     # The tour enters each child by a down arc, before its twin leaves it,
@@ -325,6 +329,8 @@ def _tour_positions(
     edges form a spanning tree.  They do exactly when every vertex has an
     arc and the tour covers every arc: one face over all arcs and all n
     vertices leaves genus 0 by Euler's formula, so the edges connect.
+    On None, the caller names an unreachable vertex by the package's
+    depth-first ``_preorder`` over the same sorted arcs.
 
     The tour is cut before it returns to the first arc and ranked by
     pointer jumping (Wyllie) in ceil(log2 len(succ)) rounds; arcs off it
@@ -345,25 +351,6 @@ def _tour_positions(
         rank += rank[succ]
         succ = succ[succ]
     return arcs - 1 - rank if rank[first] == arcs - 1 else None
-
-
-def _first_unreached(n: int, ends: np.ndarray, root: int) -> int:
-    """The smallest vertex that the edges interleaved in ends (u0, v0,
-    u1, v1, ...) do not connect to root.  Labels every vertex with the
-    smallest vertex of its component: each round hooks every label to the
-    smallest label next to it, then jumps pointers until labels settle."""
-    label = np.arange(n)
-    while True:
-        la, lb = label[ends[0::2]], label[ends[1::2]]
-        low = np.minimum(la, lb)
-        hooked = label.copy()
-        np.minimum.at(hooked, la, low)
-        np.minimum.at(hooked, lb, low)
-        while not np.array_equal(hooked[hooked], hooked):
-            hooked = hooked[hooked]
-        if np.array_equal(hooked, label):
-            return int(np.argmax(label != label[root]))
-        label = hooked
 
 
 def _ancestor_table(tree: RootedSpanningTree) -> np.ndarray:

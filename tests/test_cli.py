@@ -149,6 +149,16 @@ def test_selfcheck_exit_zero(capsys):
     assert err == ""
 
 
+def test_selfcheck_checks_sets_above_the_size_limit(capsys):
+    # Random vertex sets of 40-vertex graphs have bases above the default
+    # limit of 16; the checker must not refuse its own instances.
+    code, out, err = run(capsys, "selfcheck", "--n", "40", "--trials", "10")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["mismatches"] == 0
+    assert payload["comparisons"] > 0
+
+
 @pytest.mark.parametrize(
     "argv, shown",
     [
@@ -156,6 +166,7 @@ def test_selfcheck_exit_zero(capsys):
         (["--trials", "0"], "at least 1 trial, got 0"),
         (["--n", "0", "--trials", "2"], "n of at least 3, got 0"),
         (["--n", "2"], "n of at least 3, got 2"),
+        (["--n", "64", "--trials", "2"], "n of at most 63, got 64"),
     ],
 )
 def test_selfcheck_refuses_a_run_that_checks_nothing(capsys, argv, shown):

@@ -138,8 +138,18 @@ def test_bad_root_rejected(f1):
             build_rooted_tree(g, tree_ids, root)
     t = build_rooted_tree(g, np.array([1, 0]), np.int64(2))
     assert t.root == 2 and type(t.root) is int
-    assert t.tree_edge_ids == {0, 1}
-    assert all(type(e) is int for e in t.tree_edge_ids)
+    # Whatever the ids came as, the tree keeps one sorted read-only array.
+    for tree_ids in (
+        {1, 0},
+        [1, 0],
+        (e for e in (1, 0)),
+        np.array([1, 0], dtype=np.uint8),
+        np.array([1, 0], dtype=np.int64),
+    ):
+        t = build_rooted_tree(g, tree_ids, 0)
+        assert t.tree_edge_ids.tolist() == [0, 1]
+        assert not t.tree_edge_ids.flags.writeable
+        assert t.tree_edge_ids.dtype == t.parent_edge.dtype
 
 
 def test_decompose_examples(f1):
@@ -228,12 +238,12 @@ def test_decompose_round_trip(inst, salt):
     expected = set(range(n)) - members if complemented else members
     assert back == expected
     assert complemented == (tree.root in members)
-    crossing = cut_edge_set(graph, members) & tree.tree_edge_ids
+    crossing = cut_edge_set(graph, members) & set(tree.tree_edge_ids.tolist())
     assert crossing == {tree.parent_edge_of(v) for v in basis}
 
 
 def _tree_digest(tree):
-    tables = [sorted(tree.tree_edge_ids)]
+    tables = [tree.tree_edge_ids.tolist()]
     for name in ("parent", "parent_edge", "depth", "euler_in", "euler_out", "order"):
         tables.append(getattr(tree, name).tolist())
     tables.append(tree.children)
@@ -345,6 +355,46 @@ def test_nonspanning_messages_are_pinned(n, edges, tree_ids, root, message):
     graph = build_graph(n, edges)
     with pytest.raises(TreeStructureError, match=f"^{re.escape(message)}$"):
         build_rooted_tree(graph, tree_ids, root)
+
+
+def test_deep_nonspanning_names_an_unreached_vertex(deep_dfs_tree):
+    # Cut the deep tree's longest path at a quarter of its depth and
+    # spend the freed edge on a cycle among the vertices still reached.
+    graph, root = deep_dfs_tree.graph, deep_dfs_tree.root
+    depth = deep_dfs_tree.depth
+    tin, tout = deep_dfs_tree.euler_in, deep_dfs_tree.euler_out
+    assert int(depth.max()) > graph.n // 2
+    path = deep_dfs_tree.root_path(int(np.argmax(depth)))
+    x = path[len(path) // 4]
+    cut_off = (tin[x] <= tin) & (tin <= tout[x])
+    ids = deep_dfs_tree.tree_edge_ids.tolist()
+    ids.remove(int(deep_dfs_tree.parent_edge[x]))
+    u, v = graph.edge_u.tolist(), graph.edge_v.tolist()
+    used = set(ids)
+    extra = next(
+        e for e in range(graph.m)
+        if e not in used and not cut_off[u[e]] and not cut_off[v[e]]
+    )
+    ids.append(extra)
+    nbrs = [[] for _ in range(graph.n)]
+    for e in ids:
+        nbrs[u[e]].append(v[e])
+        nbrs[v[e]].append(u[e])
+    seen = {root}
+    queue = [root]
+    for a in queue:
+        for b in nbrs[a]:
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    missing = min(set(range(graph.n)) - seen)
+    assert cut_off[missing]
+    message = (
+        f"tree edges do not span the graph: vertex {missing} "
+        f"is unreachable from root {root}"
+    )
+    with pytest.raises(TreeStructureError, match=f"^{re.escape(message)}$"):
+        build_rooted_tree(graph, ids, root)
 
 
 def _lexsorted_csr(n, u, v, ids):
