@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GraphInputError, QueryError
-from .graph import Graph, _is_integer, _preorder
+from .graph import Graph, _index_dtype, _is_integer, _preorder
 from .tree import RootedSpanningTree, _checked_root, build_rooted_tree
 
 STRATEGIES = ("bfs", "dfs", "uniform")
@@ -114,20 +114,75 @@ def gen_connected_graph(n: int, target_m: int, seed: int) -> Graph:
     return Graph.from_arrays(n, us, vs, [1] * target_m)
 
 
-def _bfs_tree_ids(graph: Graph, root: int) -> tuple[list[int], list[int]]:
-    offsets, nbrs, eids = map(memoryview, graph.adjacency)
-    seen = [False] * graph.n
+# A BFS level with fewer arcs than this takes the scalar step.  A
+# vectorised level costs a fixed 40-50 microseconds of numpy calls, what
+# the scalar step spends on about 300 arcs (n=1e5, levels of 16 and 64
+# vertices).  Vectorised, a 1e5-vertex path, two arcs a level, took 2-3 s.
+_THIN_LEVEL = 256
+
+
+def _bfs_tree_ids(graph: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first traversal from root over the CSR incidence, taking
+    each vertex's entries in stored order.  Returns the parent edge ids
+    of the vertices reached after the root and the vertices reached, both
+    in visiting order and as arrays of the incidence's dtype.
+
+    Level-synchronous (Beamer, Asanovic and Patterson, SC 2012): a level
+    gathers every arc of its frontier, in queue order and then CSR order,
+    drops the arcs into vertices already seen and keeps, for each new
+    vertex, the first arc that reaches it.  That is the arc, and the queue
+    position, that a one-vertex-at-a-time FIFO loop gives it.  A level
+    with fewer than _THIN_LEVEL arcs runs that loop instead.
+    """
+    offsets, nbrs, eids = graph.adjacency
+    n = graph.n
+    arc = _index_dtype(len(nbrs))  # arc positions
+    degree = np.diff(offsets)
+    seen = np.zeros(n, dtype=bool)
     seen[root] = True
-    queue = [root]
-    ids: list[int] = []
-    for v in queue:  # the loop also visits what it appends
-        for i in range(offsets[v], offsets[v + 1]):
-            w = nbrs[i]
-            if not seen[w]:
-                seen[w] = True
-                ids.append(eids[i])
-                queue.append(w)
-    return ids, queue
+    queue = np.empty(n, dtype=nbrs.dtype)
+    queue[0] = root
+    edge = np.empty(n, dtype=eids.dtype)  # the edge that reached queue[j]
+    # owner[w]: the first arc, by its place in the level's gather, that
+    # reaches w.  Written only for vertices that are then seen, so the
+    # initial value is still there for any vertex a later level reaches.
+    owner = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    off, nb, ed, dg = map(memoryview, (offsets, nbrs, eids, degree))
+    sn, qu, out = map(memoryview, (seen, queue, edge))
+    thin = _THIN_LEVEL
+    head, tail = 0, 1  # the frontier is queue[head:tail]
+    arcs = dg[root]  # arcs leaving the frontier
+    while head < tail:
+        level, reach = tail, 0
+        if arcs < thin:
+            for v in qu[head:level]:
+                for i in range(off[v], off[v + 1]):
+                    w = nb[i]
+                    if not sn[w]:
+                        sn[w] = True
+                        out[tail] = ed[i]
+                        qu[tail] = w
+                        tail += 1
+                        reach += dg[w]
+        else:
+            frontier = queue[head:level]
+            count = degree[frontier]
+            # Arc positions in queue order, then CSR order.
+            skip = (offsets[frontier] - (np.cumsum(count) - count)).astype(arc)
+            gather = np.arange(arcs, dtype=arc)
+            gather += np.repeat(skip, count)
+            fresh = np.flatnonzero(~seen[nbrs[gather]])
+            w = nbrs[gather[fresh]]
+            np.minimum.at(owner, w, fresh)
+            first = fresh == owner[w]
+            new = w[first]
+            tail += len(new)
+            queue[level:tail] = new
+            edge[level:tail] = eids[gather[fresh[first]]]
+            seen[new] = True
+            reach = int(degree[new].sum())
+        head, arcs = level, reach
+    return edge[1:tail], queue[:tail]
 
 
 def _dfs_tree_ids(graph: Graph, root: int) -> tuple[list[int], list[int]]:
@@ -171,7 +226,15 @@ def gen_spanning_tree(
     neighbours in the ascending (vertex, edge id) order of the CSR
     ``graph.adjacency`` and ignore the seed; "uniform" runs a loop-erased
     random walk over the same incidence, uniform over all spanning trees.
-    A root that is not an integer vertex id raises TreeStructureError.
+    "bfs" runs level by level in numpy, with a scalar step for levels of
+    few arcs, and "uniform" runs the same BFS first to check that the
+    graph is connected.  At n=1e5, m=5e5 (one random graph, best of 9,
+    2 cores) the CSR takes 0.05-0.07 s, the BFS 0.017-0.025 s and the
+    tree tables 0.05-0.06 s; the "dfs" traversal and the walk stay
+    Python loops.
+    A disconnected graph raises GraphInputError naming its smallest
+    vertex unreachable from root, and a root that is not an integer
+    vertex id raises TreeStructureError.
     """
     if strategy not in STRATEGIES:
         raise ValueError(
@@ -181,7 +244,9 @@ def gen_spanning_tree(
     traverse = _dfs_tree_ids if strategy == "dfs" else _bfs_tree_ids
     ids, reached = traverse(graph, root)
     if len(reached) != graph.n:
-        missing = min(set(range(graph.n)).difference(reached))
+        unseen = np.ones(graph.n, dtype=bool)
+        unseen[reached] = False
+        missing = int(np.argmax(unseen))
         raise GraphInputError(
             f"graph is disconnected: vertex {missing} unreachable from {root}"
         )

@@ -287,21 +287,24 @@ def _checked_edge_ids(tree_edge_ids: Iterable[int], n: int, m: int) -> np.ndarra
     Refuses with TreeStructureError, in this order: the first entry that
     is not an integer (Python or numpy, not a bool), the smallest
     repeated id, a count other than n - 1, and the smallest id outside
-    [0, m).
+    [0, m).  A one-dimensional integer array is sorted as it is; anything
+    else is listed first, so that each entry's type can be checked.
     """
-    listed = list(tree_edge_ids)
-    try:
-        ids = np.array(listed) if listed else np.zeros(0, dtype=np.int64)
-    except ValueError:  # numpy refuses ragged nestings of sequences
-        ids = np.array(listed, dtype=object)
-    # np.array reads bools mixed with ints as ints.
-    if ids.dtype.kind not in "iu" or ids.ndim != 1 or {bool, np.bool_} & set(
-        map(type, listed)
-    ):
-        for eid in listed:
-            if not _is_integer(eid):
-                raise TreeStructureError(f"tree edge id {eid!r} is not an integer")
-        ids = np.array(listed, dtype=object)  # integers beyond int64
+    ids = tree_edge_ids
+    if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu"):
+        listed = list(tree_edge_ids)
+        try:
+            ids = np.array(listed) if listed else np.zeros(0, dtype=np.int64)
+        except ValueError:  # numpy refuses ragged nestings of sequences
+            ids = np.array(listed, dtype=object)
+        # np.array reads bools mixed with ints as ints.
+        if ids.dtype.kind not in "iu" or ids.ndim != 1 or {bool, np.bool_} & set(
+            map(type, listed)
+        ):
+            for eid in listed:
+                if not _is_integer(eid):
+                    raise TreeStructureError(f"tree edge id {eid!r} is not an integer")
+            ids = np.array(listed, dtype=object)  # integers beyond int64
     ids = np.sort(ids)
     repeated = ids[1:] == ids[:-1]
     if repeated.any():

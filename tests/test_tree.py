@@ -13,6 +13,7 @@ from respecting_cuts.gamma import (
     k_respecting_cut_size,
     pairwise_gamma,
 )
+from respecting_cuts import generators
 from respecting_cuts import tree as tree_mod
 from respecting_cuts.generators import (
     STRATEGIES,
@@ -268,19 +269,31 @@ PINNED_TREES = {
 }
 
 
-def test_trees_are_pinned(multigraph):
+def _pinned_digests(multigraph, strategies):
     graphs = {
         "g30": gen_connected_graph(30, 80, seed=1),
         "g200": gen_connected_graph(200, 600, seed=2),
         "g1000": gen_connected_graph(1000, 3000, seed=3),
         "multi": multigraph,
     }
-    digests = {
+    return {
         f"{name}-{strategy}": _tree_digest(gen_spanning_tree(g, 7, 11, strategy))
         for name, g in graphs.items()
-        for strategy in ("bfs", "dfs", "uniform")
+        for strategy in strategies
     }
-    assert digests == PINNED_TREES
+
+
+def test_trees_are_pinned(multigraph):
+    assert _pinned_digests(multigraph, ("bfs", "dfs", "uniform")) == PINNED_TREES
+
+
+# 0 sends every BFS level through the vectorised step; 6001 exceeds the
+# 2m arcs of the largest pinned graph, so every level takes the scalar step.
+@pytest.mark.parametrize("thin_level", [0, 6001])
+def test_both_bfs_steps_give_the_pinned_trees(monkeypatch, multigraph, thin_level):
+    monkeypatch.setattr(generators, "_THIN_LEVEL", thin_level)
+    digests = _pinned_digests(multigraph, ("bfs", "uniform"))
+    assert digests == {key: PINNED_TREES[key] for key in digests}
 
 
 def test_deep_dfs_tree(deep_dfs_tree):
@@ -355,6 +368,32 @@ def test_nonspanning_messages_are_pinned(n, edges, tree_ids, root, message):
     graph = build_graph(n, edges)
     with pytest.raises(TreeStructureError, match=f"^{re.escape(message)}$"):
         build_rooted_tree(graph, tree_ids, root)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+def test_edge_id_arrays_are_checked_as_lists_are(dtype):
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    high = -5 if np.dtype(dtype).kind == "i" else 2**63 + 5
+    for ids, message in (
+        (np.array([1, 0, 2], dtype=dtype).astype(bool),
+         "tree edge id np.True_ is not an integer"),
+        (np.array([3, 1, 3, 1], dtype=dtype), "tree edge id 1 is repeated"),
+        (np.array([9, 9], dtype=dtype), "tree edge id 9 is repeated"),
+        (np.array([0, 9], dtype=dtype),
+         "a spanning tree of 4 vertices needs 3 distinct edges, got 2"),
+        (np.array([0, 1, 2, 3], dtype=dtype),
+         "a spanning tree of 4 vertices needs 3 distinct edges, got 4"),
+        (np.array([9, high, 1], dtype=dtype),
+         f"tree edge id {min(9, high)} out of range for 4 edges"),
+    ):
+        for given_ids in (ids, list(ids)):
+            with pytest.raises(TreeStructureError, match=f"^{re.escape(message)}$"):
+                build_rooted_tree(graph, given_ids, 0)
+    ids = np.array([2, 0, 1], dtype=dtype)
+    tree = build_rooted_tree(graph, ids, 3)
+    assert ids.tolist() == [2, 0, 1]
+    assert tree.tree_edge_ids.tolist() == [0, 1, 2]
+    assert _tree_digest(tree) == _tree_digest(build_rooted_tree(graph, [2, 0, 1], 3))
 
 
 def test_deep_nonspanning_names_an_unreached_vertex(deep_dfs_tree):
