@@ -13,6 +13,7 @@ import os
 import sys
 import warnings
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
@@ -267,7 +268,10 @@ def _cmd_delta(args, max_k) -> int:
     graph = _parse_graph_file(args.graph)
     tree = _resolve_tree(graph, args.tree, args.root, args.seed)
     sizes = all_subtree_cut_sizes(graph, tree)
-    _emit({"delta": sizes})
+    # The line _emit would print, in one format: json.dumps takes about
+    # twice as long over 1e5 sizes.
+    line = '{"delta":{' + ",".join(['"%d":%d'] * len(sizes)) + "}}"
+    print(line % tuple(chain.from_iterable(sizes.items())))
     return 0
 
 

@@ -185,15 +185,23 @@ def _bfs_tree_ids(graph: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
     return edge[1:tail], queue[:tail]
 
 
-def _dfs_tree_ids(graph: Graph, root: int) -> tuple[list[int], list[int]]:
+def _dfs_tree_ids(graph: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parent edge ids of the vertices the depth-first ``_preorder``
+    reaches after the root and the vertices it reaches, both in preorder
+    and as arrays of the incidence's dtype."""
     _, parent_edge, order = _preorder(graph.adjacency, root)
-    return [parent_edge[v] for v in order[1:]], order
+    dtype = graph.adjacency[2].dtype
+    order = np.array(order, dtype=dtype)
+    return np.array(parent_edge, dtype=dtype)[order[1:]], order
 
 
 def _wilson_tree_ids(
     graph: Graph, root: int, rng: np.random.Generator
-) -> list[int]:
-    """Uniform spanning tree of the graph itself, walking incident edges."""
+) -> np.ndarray:
+    """Uniform spanning tree of the graph itself, walking incident edges.
+    Returns its edge ids by ascending child vertex, as an array of the
+    incidence's dtype."""
+    dtype = graph.adjacency[2].dtype
     offsets, nbrs, eids = map(memoryview, graph.adjacency)
     n = graph.n
     in_tree = [False] * n
@@ -214,7 +222,7 @@ def _wilson_tree_ids(
         while not in_tree[u]:
             in_tree[u] = True
             u = succ_vertex[u]
-    return [succ_edge[v] for v in range(n) if v != root]
+    return np.delete(np.array(succ_edge, dtype=dtype), root)
 
 
 def gen_spanning_tree(
@@ -229,8 +237,8 @@ def gen_spanning_tree(
     "bfs" runs level by level in numpy, with a scalar step for levels of
     few arcs, and "uniform" runs the same BFS first to check that the
     graph is connected.  At n=1e5, m=5e5 (one random graph, best of 9,
-    2 cores) the CSR takes 0.05-0.07 s, the BFS 0.017-0.025 s and the
-    tree tables 0.05-0.06 s; the "dfs" traversal and the walk stay
+    2 cores) the CSR takes 0.036-0.044 s, the BFS 0.027-0.036 s and the
+    tree tables 0.052-0.076 s; the "dfs" traversal and the walk stay
     Python loops.
     A disconnected graph raises GraphInputError naming its smallest
     vertex unreachable from root, and a root that is not an integer

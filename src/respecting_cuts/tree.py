@@ -223,7 +223,8 @@ def _euler_tables(
     TreeStructureError, naming the smallest unreachable vertex, unless
     the edges span the graph."""
     n = graph.n
-    ends = np.stack((graph.edge_u[ids], graph.edge_v[ids]), axis=1).ravel()
+    ends = np.stack((graph.edge_u[ids], graph.edge_v[ids]), axis=1, dtype=dtype)
+    ends = ends.ravel()
     arcs = len(ends)
     idx = _index_dtype(2 * arcs)  # tour ranks stay below 2 * arcs
     offsets, order = _arc_order(n, ends)
@@ -231,7 +232,6 @@ def _euler_tables(
     at = np.empty(arcs, dtype=idx)
     at[order] = np.arange(arcs, dtype=idx)
     twin = at[order ^ 1]  # the same edge's reverse arc
-    ends = ends.astype(dtype)
     src, dst = ends[order], ends[order ^ 1]
     # The tour leaves dst by the arc after twin around dst, cyclically.
     succ = twin + 1

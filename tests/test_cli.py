@@ -6,6 +6,7 @@ import pytest
 
 from respecting_cuts import cli
 from respecting_cuts.cli import MAX_K_ENV, main
+from respecting_cuts.gamma import all_subtree_cut_sizes
 
 F1 = "3 3\n0 1\n1 2\n0 2\n"
 F2 = "4 4\n0 1\n0 2\n0 3\n1 2\n"
@@ -95,6 +96,49 @@ def test_delta_pinned(capsys, f2_path):
     code, out, _ = run(capsys, "delta", "--graph", f2_path)
     assert code == 0
     assert out == '{"delta":{"1":2,"2":2,"3":1}}\n'
+
+
+# A path whose weights 2**61 and 2**61 - 1 sum to 2**62 - 1, just under
+# the total weight bound: its subtree cuts are exact integers past 2**53.
+HEAVY = f"3 2\n0 1 {2**61}\n1 2 {2**61 - 1}\n"
+# A weighted 12-cycle with two chords: keys past one digit.
+RING = "12 14\n" + "".join(f"{i} {(i + 1) % 12} {i + 3}\n" for i in range(12))
+RING += "3 9 2\n0 6 7\n"
+
+
+@pytest.mark.parametrize(
+    "content, flags",
+    [
+        ("1 0\n", ()),
+        (F1, ()),
+        (F2, ()),
+        (F1, ("--root", "2")),
+        (F2, ("--root", "2", "--tree", "dfs")),
+        (HEAVY, ()),
+        (HEAVY, ("--root", "2", "--tree", "uniform", "--seed", "3")),
+        (RING, ("--root", "10", "--tree", "uniform", "--seed", "1")),
+    ],
+)
+def test_delta_line_is_the_json_line(capsys, tmp_path, content, flags):
+    # The delta command formats its line itself; it must print the bytes
+    # _emit would print for the same sizes.
+    path = tmp_path / "g.g"
+    path.write_text(content)
+    code, out, _ = run(capsys, "delta", "--graph", str(path), *flags)
+    assert code == 0
+    args = cli._build_parser().parse_args(["delta", "--graph", str(path), *flags])
+    graph = cli._parse_graph_file(args.graph)
+    tree = cli._resolve_tree(graph, args.tree, args.root, args.seed)
+    sizes = all_subtree_cut_sizes(graph, tree)
+    assert out == json.dumps({"delta": sizes}, separators=(",", ":")) + "\n"
+    assert list(sizes) == sorted(set(range(graph.n)) - {args.root})
+
+
+def test_delta_line_keeps_heavy_sizes_exact(capsys, tmp_path):
+    path = tmp_path / "heavy.g"
+    path.write_text(HEAVY)
+    out = run(capsys, "delta", "--graph", str(path), "--root", "2")[1]
+    assert out == '{"delta":{"0":2305843009213693952,"1":2305843009213693951}}\n'
 
 
 def test_decompose_pinned(capsys, f1_path):

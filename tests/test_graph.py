@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from respecting_cuts.errors import (
     SelfLoopError,
 )
 from respecting_cuts.gamma import all_subtree_cut_sizes, cut_size_via_tree
-from respecting_cuts.generators import gen_spanning_tree
+from respecting_cuts.generators import gen_connected_graph, gen_spanning_tree
 from respecting_cuts.graph import (
     MAX_TOTAL_WEIGHT,
     Graph,
     _index_dtype,
+    _one_pass,
     build_graph,
     cut_edge_set,
     cut_size_direct,
@@ -262,6 +264,38 @@ def test_index_dtype_boundary():
     assert _index_dtype(top + 1, 1) is np.int64
     assert _index_dtype(1, top + 1) is np.int64
     assert _index_dtype(1, 0) is np.int32
+
+
+def test_one_pass_boundary():
+    # The largest key, (n * n << shift) - 1, fits in 64 bits exactly when
+    # n * n << shift <= 2**64; the rule is tested as a function of n and
+    # the arc id width shift.
+    assert _one_pass(2**16, 32)
+    assert not _one_pass(2**16 + 1, 32)
+    assert not _one_pass(2**16, 33)
+    assert _one_pass(2**32, 0)
+    assert not _one_pass(2**32 + 1, 0)
+    # n=1e6 with m=5e6 (1e7 arcs, 24-bit ids) still sorts in one pass.
+    assert _one_pass(10**6, (10**7 - 1).bit_length())
+
+
+# Bytes per arc the CSR build may hold at its peak (tracemalloc, n=2e4,
+# m=1e5, numpy 2.4).  The in-place packed sort peaks at 17.1: int32
+# endpoints, uint64 keys and one half-length digit, then the int64 order
+# beside two int32 gathers.  Sorting into a copy of the keys read 20.8,
+# and the argsort with its tie repair 32.8.
+CSR_PEAK_BYTES_PER_ARC = 20
+
+
+def test_adjacency_peak_memory():
+    graph = gen_connected_graph(20_000, 100_000, seed=0)
+    tracemalloc.start()
+    try:
+        graph.adjacency
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CSR_PEAK_BYTES_PER_ARC * 2 * graph.m
 
 
 def test_graph_keeps_no_list_tables(multigraph):

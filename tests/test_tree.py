@@ -14,6 +14,7 @@ from respecting_cuts.gamma import (
     pairwise_gamma,
 )
 from respecting_cuts import generators
+from respecting_cuts import graph as graph_mod
 from respecting_cuts import tree as tree_mod
 from respecting_cuts.generators import (
     STRATEGIES,
@@ -483,15 +484,22 @@ def _star_and_path():
     return graphs
 
 
-def test_tables_match_reference(multigraph, deep_dfs_tree):
+def _check_tables_match_reference(multigraph, deep_dfs_tree, one_pass):
+    """The CSR and every tree table against the lexsort reference, with
+    the arcs of the graphs below and of their spanning trees sorted in
+    one pass or in two, as one_pass says."""
     star, path = _star_and_path()
+    graphs = (multigraph, star, path, gen_connected_graph(300, 700, seed=12))
+    for graph in graphs:
+        for arcs in (2 * graph.n - 2, 2 * graph.m):
+            assert graph_mod._one_pass(graph.n, (arcs - 1).bit_length()) == one_pass
     cases = [
         (build_graph(1, []), [], 0),
         (build_graph(2, [(1, 0), (0, 1)]), [1], 0),
         (build_graph(2, [(1, 0), (0, 1)]), [0], 1),
         (deep_dfs_tree.graph, deep_dfs_tree.tree_edge_ids, deep_dfs_tree.root),
     ]
-    for graph in (multigraph, star, path, gen_connected_graph(300, 700, seed=12)):
+    for graph in graphs:
         for strategy in STRATEGIES:
             for root in (0, graph.n // 2, graph.n - 1):
                 tree = gen_spanning_tree(graph, root, root + 1, strategy)
@@ -508,6 +516,17 @@ def test_tables_match_reference(multigraph, deep_dfs_tree):
         assert nbrs.tolist() == expected[1].tolist()
         assert eids.tolist() == expected[2].tolist()
         assert nbrs.dtype == eids.dtype == np.int32
+
+
+def test_tables_match_reference(multigraph, deep_dfs_tree):
+    _check_tables_match_reference(multigraph, deep_dfs_tree, one_pass=True)
+
+
+def test_two_pass_arc_sort_matches_reference(monkeypatch, multigraph, deep_dfs_tree):
+    # 16 key bits send every arc sort of the checked graphs and their
+    # trees through two passes.
+    monkeypatch.setattr(graph_mod, "_KEY_BITS", 16)
+    _check_tables_match_reference(multigraph, deep_dfs_tree, one_pass=False)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
