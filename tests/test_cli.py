@@ -156,6 +156,30 @@ def test_decompose_pinned(capsys, f1_path):
     assert out == '{"basis":[1],"complemented":true,"k":1}\n'
 
 
+# Vertex 1 has four children, and every set below holds the root 0.
+WIDE = "8 10\n0 1\n1 2\n1 3\n1 4\n1 5\n0 6\n6 7\n2 3\n5 7\n4 0\n"
+WIDE_TREE = "0,1;1,2;1,3;1,4;1,5;0,6;6,7"
+
+
+@pytest.mark.parametrize(
+    "vertex_set, decomposed, size",
+    [
+        ("0,1,3,7", '{"basis":[2,4,5,6,7],"complemented":true,"k":5}\n',
+         '{"size":8,"k":5}\n'),
+        ("0,1,6", '{"basis":[2,3,4,5,7],"complemented":true,"k":5}\n',
+         '{"size":6,"k":5}\n'),
+    ],
+)
+def test_wide_tree_output_pinned(capsys, tmp_path, vertex_set, decomposed, size):
+    path = tmp_path / "wide.g"
+    path.write_text(WIDE)
+    tree = ("--graph", str(path), "--tree", WIDE_TREE, "--root", "0")
+    assert run(capsys, "decompose", *tree, "--vertex-set", vertex_set) == (
+        0, decomposed, ""
+    )
+    assert run(capsys, "cutsize", *tree, "--vertex-set", vertex_set) == (0, size, "")
+
+
 def test_byte_determinism(capsys, f2_path):
     args = ("gamma", "--graph", f2_path, "--tree", "uniform", "--seed", "4", "--set", "1,2,3")
     _, first, _ = run(capsys, *args)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 from respecting_cuts import selfcheck
 from respecting_cuts.gamma import cut_size_via_tree, k_respecting_cut_size
+from respecting_cuts.generators import STRATEGIES
 from respecting_cuts.graph import build_graph, cut_size_direct
 from respecting_cuts.selfcheck import (
     SweepReport,
@@ -153,3 +155,26 @@ def test_counterexample_payload_is_replayable(monkeypatch):
     assert payload["actual"] == payload["expected"] + 1
     size, basis = cut_size_via_tree(graph, tree, members)
     assert (size, sorted(basis)) == (payload["expected"], payload["basis"])
+
+
+def _candidate_digest(seed: int, trees: int) -> str:
+    """sha256 of every candidate set that case_soundness_sweep would draw
+    from the first trees instances of its stream, each set sorted."""
+    master = selfcheck._master(seed)
+    drawn = []
+    for i in range(trees):
+        graph = selfcheck._draw_graph(master, 6, 36)
+        tree = selfcheck._draw_tree(master, graph, STRATEGIES[i % len(STRATEGIES)])
+        for members in selfcheck._case_query_candidates(tree, master):
+            assert all(type(v) is int for v in members), members
+            drawn.append(sorted(members))
+    return hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
+
+
+def test_case_query_candidates_are_pinned():
+    # Recorded while the draws still walked child lists and root paths;
+    # the candidates must not change with the tables they are read from.
+    assert {seed: _candidate_digest(seed, 400) for seed in (0, 5)} == {
+        0: "15a004854b2f871bfece180c50fa6e89e619bcea8356161c713020c0467f0fc5",
+        5: "29d475db8dbcffba4fb76817b120b7e91314fbb3e83e1be3d315c05754210836",
+    }
