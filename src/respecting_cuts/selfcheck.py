@@ -254,24 +254,30 @@ def _case_query_candidates(
         k = int(master.integers(3, min(k_cap, len(non_root)) + 1))
         out.append(sample(non_root, k))
 
-    deepest = max(non_root, key=lambda v: (tree.depth_of(v), v))
-    path = tree.root_path(deepest)[1:]
+    tin, tout = tree.euler_in.tolist(), tree.euler_out.tolist()
+    offsets, child_ids = tree._child_table
+    count = np.diff(offsets).tolist()
+
+    def children(v: int) -> list[int]:
+        return child_ids[offsets[v] : offsets[v + 1]].tolist()
+
+    # The deepest vertex, the largest id among ties, and its root path
+    # below the root: the preorder up to it, where intervals still hold it.
+    deepest = int(np.flatnonzero(tree.depth == tree.depth.max())[-1])
+    at = tin[deepest]
+    path = [u for u in tree.order[: at + 1].tolist() if tout[u] >= at][1:]
     if len(path) >= 3:
         k = int(master.integers(3, min(k_cap, len(path)) + 1))
         out.append(sample(path, k))
 
-    root_kids = tree.children[root]
+    root_kids = children(root)
     if len(root_kids) >= 3:
         out.append(sample(root_kids, 3))
 
-    branching = [
-        v
-        for v in non_root
-        if len(tree.children[v]) >= 2
-    ]
+    branching = [v for v in non_root if count[v] >= 2]
     if branching:
         v = branching[int(master.integers(0, len(branching)))]
-        kids = tree.children[v]
+        kids = children(v)
         picks = master.choice(len(kids), size=2, replace=False)
         chosen = {v}
         for i in picks:
@@ -279,12 +285,12 @@ def _case_query_candidates(
             chosen.add(members[int(master.integers(0, len(members)))])
         out.append(chosen)
 
-    internal = [v for v in non_root if tree.children[v]]
+    internal = [v for v in non_root if count[v]]
     if internal:
         v = internal[int(master.integers(0, len(internal)))]
-        kids = tree.children[v]
+        kids = children(v)
         child = kids[int(master.integers(0, len(kids)))]
-        outside = [u for u in non_root if not tree.is_descendant(u, v)]
+        outside = [u for u in non_root if not tin[v] <= tin[u] <= tout[v]]
         if outside:
             u = outside[int(master.integers(0, len(outside)))]
             out.append({v, child, u})

@@ -15,9 +15,9 @@ every discovery index, and the depth likewise; the finish index is
 discovery + size - 1.  Discovery intervals give O(1) subtree
 membership: u lies in the subtree of v exactly when
 euler_in(v) <= euler_in(u) <= euler_out(v), and the subtree of v is the
-preorder slice between them.  Child lists, which no query reads, and
-the subtree cut sizes, which one lowest-common-ancestor pass over the
-edges fills, are built on first use.
+preorder slice between them.  The child table, which one packed-key
+sort fills, and the subtree cut sizes, which one lowest-common-ancestor
+pass over the edges fills, are built on first use.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .graph import (
     _index_dtype,
     _is_integer,
     _preorder,
+    _sorted_ids,
     checked_vertex,
     checked_vertex_set,
 )
@@ -56,20 +57,15 @@ class RootedSpanningTree:
     * ``subtree_cut``: int64 cut size of the subtree of every vertex (0
       at the root), built on first use
 
-    plus ``children``, child lists each sorted ascending and built on
-    first use, and ``tree_edge_ids``, the n-1 edge ids forming the tree
-    in ascending order: a read-only array of the tables' dtype, and the
+    plus ``tree_edge_ids``, the n-1 edge ids forming the tree in
+    ascending order: a read-only array of the tables' dtype, and the
     tree's only record of its edges.
 
     The root and the tree edge ids must be integers (Python or numpy,
     not bools); anything else is refused with TreeStructureError rather
     than converted, and so is a repeated edge id.  Instances never change
     after construction, apart from filling ``edge_euler_in``,
-    ``subtree_cut`` and ``children`` once.
-
-    Each table is kept once, as numpy, so ``is_descendant`` and
-    ``depth_of`` read numpy scalars, slower per call than list reads;
-    the engine gathers a query set's intervals at once instead.
+    ``subtree_cut`` and the private child table once.
     """
 
     def __init__(self, graph: Graph, tree_edge_ids: Iterable[int], root: int):
@@ -91,12 +87,12 @@ class RootedSpanningTree:
         self.euler_in = _frozen(tin, dtype)
         self.euler_out = _frozen(tout, dtype)
         self.order = _frozen(order, dtype)
-        # Filled by edge_euler_in, subtree_cut and children.  Assigned
+        # Filled by edge_euler_in, subtree_cut and _child_table.  Assigned
         # here, not by a cached_property, so that the attribute layout of
         # every instance stays the one CPython reads fastest.
         self._edge_euler_in: np.ndarray | None = None
         self._subtree_cut: np.ndarray | None = None
-        self._children: list[list[int]] | None = None
+        self._child_csr: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -143,29 +139,24 @@ class RootedSpanningTree:
         return self._subtree_cut
 
     @property
-    def children(self) -> list[list[int]]:
-        """Child lists indexed by vertex, each sorted ascending (the
-        preorder visits children in ascending order).  Built on first
-        use, then kept."""
-        if self._children is None:
-            children: list[list[int]] = [[] for _ in range(self.n)]
-            parent = self.parent.tolist()
-            for v in self.order[1:].tolist():
-                children[parent[v]].append(v)
-            self._children = children
-        return self._children
-
-    def is_descendant(self, u: int, v: int) -> bool:
-        """True when u lies in the subtree of v (u == v counts).
-
-        Both arguments must be valid vertex ids.
-        """
-        t = self.euler_in
-        return bool(t[v] <= t[u] <= self.euler_out[v])
-
-    def depth_of(self, v: int) -> int:
-        """Edge distance from the root; depth_of(root) == 0."""
-        return int(self.depth[v])
+    def _child_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, kids): kids holds the non-root vertices sorted by
+        (parent, vertex), so the children of v are
+        kids[offsets[v]:offsets[v + 1]], ascending.  Built on first use,
+        then kept."""
+        if self._child_csr is None:
+            n, parent = self.n, self.parent
+            shift = max(n - 1, 0).bit_length()  # bits of a vertex id
+            # Keys stay below (n + 1) << shift, under 2**63 while n <= 2**31.
+            key = np.arange(n, dtype=np.uint64)
+            key |= np.left_shift(parent + 1, shift, dtype=np.uint64, casting="unsafe")
+            # The root, alone under parent -1, sorts first.
+            kids = _sorted_ids(key, shift)[1:]
+            # Count 0 is the root's; the rest count each vertex's children.
+            offsets = np.cumsum(np.bincount(parent + 1, minlength=n + 1)) - 1
+            dtype = parent.dtype
+            self._child_csr = (_frozen(offsets, dtype), _frozen(kids, dtype))
+        return self._child_csr
 
     def parent_edge_of(self, v: int) -> int:
         """Edge id connecting v to its parent; the root has none."""
@@ -180,17 +171,6 @@ class RootedSpanningTree:
         v = checked_vertex(self.graph, v)
         return set(self.order[self.euler_in[v] : self.euler_out[v] + 1].tolist())
 
-    def root_path(self, v: int) -> list[int]:
-        """Vertices from the root down to v inclusive; length depth(v)+1."""
-        v = checked_vertex(self.graph, v)
-        parent = self.parent
-        path = []
-        while v != -1:
-            path.append(v)
-            v = int(parent[v])
-        path.reverse()
-        return path
-
     def decompose_cut_as_xor_basis(
         self, members: Iterable[int]
     ) -> tuple[set[int], bool]:
@@ -201,17 +181,29 @@ class RootedSpanningTree:
         complemented records whether the root sits inside A.  The symmetric
         difference of the subtrees of S equals A itself when complemented
         is False and the complement of A otherwise.
+
+        S is the members whose parent lies outside A together with the
+        children of members that lie outside A, so the work grows with A
+        and its children, not with n.
         """
         inside = checked_vertex_set(self.graph, members)
         if not 0 < len(inside) < self.graph.n:
             raise QueryError(
                 "vertex set must be a proper nonempty subset of the vertices"
             )
+        at = np.fromiter(inside, dtype=np.int64, count=len(inside))
         mask = np.zeros(self.graph.n, dtype=bool)
-        mask[np.fromiter(inside, dtype=np.int64, count=len(inside))] = True
-        crossing = mask != mask[self.parent]
-        crossing[self.root] = False
-        return set(np.flatnonzero(crossing).tolist()), (self.root in inside)
+        mask[at] = True
+        up = self.parent[at]
+        top = at[(up >= 0) & ~mask[up]]  # the root's parent -1 is no vertex
+        offsets, kids = self._child_table
+        lo = offsets[at]
+        count = offsets[at + 1] - lo
+        # Each member's slice of kids, concatenated.
+        start = np.repeat(lo - (np.cumsum(count) - count), count)
+        below = kids[start + np.arange(len(start))]
+        below = below[~mask[below]]
+        return set(np.concatenate((top, below)).tolist()), (self.root in inside)
 
 
 def _euler_tables(

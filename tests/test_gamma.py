@@ -1,3 +1,4 @@
+import functools
 import itertools
 import re
 
@@ -254,8 +255,8 @@ def test_table_refuses_a_foreign_graph_or_tree():
 def test_edge_endpoint_indices_are_built_once_per_tree(f2):
     g, t = f2
     all_subtree_cut_sizes(g, t)
-    # the delta pass needs neither the edge indices nor the child lists
-    assert t._edge_euler_in is None and t._children is None
+    # the delta pass needs neither the edge indices nor the child table
+    assert t._edge_euler_in is None and t._child_csr is None
     ends = t.edge_euler_in
     assert not ends.flags.writeable
     assert np.array_equal(ends, [t.euler_in[g.edge_u], t.euler_in[g.edge_v]])
@@ -372,8 +373,23 @@ def test_single_and_pair_values_match_the_oracle_exhaustively():
     assert nested and disjoint
 
 
+def _descends(tree, u, v):
+    """Whether u lies in the subtree of v (u == v counts), by the Euler
+    interval test."""
+    tin = tree.euler_in
+    return bool(tin[v] <= tin[u] <= tree.euler_out[v])
+
+
 def _independent(tree, u, v):
-    return not (tree.is_descendant(u, v) or tree.is_descendant(v, u))
+    return not (_descends(tree, u, v) or _descends(tree, v, u))
+
+
+def _root_path(tree, v):
+    """The vertices from the root down to v: those whose Euler intervals
+    hold v, in preorder."""
+    at = tree.euler_in[v]
+    above = tree.order[: at + 1]
+    return above[tree.euler_out[above] >= at].tolist()
 
 
 @st.composite
@@ -443,22 +459,24 @@ def test_k_wise_dichotomy(inst):
 
 
 def _classify_by_pairs(tree, members):
-    """The classification rule spelled out over is_descendant pairs."""
+    """The classification rule spelled out over pairs of Euler interval
+    tests."""
     mem = sorted(members)
     if len(mem) < 3:
         return GammaCase(CaseTag.BASE_SINGLE if len(mem) == 1 else CaseTag.BASE_PAIR)
-    desc = tree.is_descendant
+    desc = functools.partial(_descends, tree)
+    depth = tree.depth.tolist()
     nested = [(x, y) for x, y in itertools.permutations(mem, 2) if desc(x, y)]
     if not nested:
         return GammaCase(CaseTag.CASE1_ALL_INDEPENDENT)
-    by_depth = sorted(mem, key=lambda v: (tree.depth_of(v), v))
+    by_depth = sorted(mem, key=lambda v: (depth[v], v))
     head = by_depth[0]
     if all(desc(y, head) for y in by_depth[1:]):
         if all(desc(y, x) for x, y in zip(by_depth, by_depth[1:])):
             return GammaCase(CaseTag.CASE2_CHAIN, pair=(by_depth[-1], head))
         return GammaCase(CaseTag.CASE3_BRANCHING_UNDER_ANCESTOR)
     participants = {v for pair in nested for v in pair}
-    a = min(participants, key=lambda v: (tree.depth_of(v), v))
+    a = min(participants, key=lambda v: (depth[v], v))
     return GammaCase(CaseTag.CASE4_ELIMINABLE, eliminated=a)
 
 
@@ -469,7 +487,7 @@ def _drawn_sets(tree, rng, count):
     for _ in range(count):
         k = int(rng.integers(3, 11))
         yield set(rng.choice(non_root, size=k, replace=False).tolist())
-        path = tree.root_path(int(rng.choice(non_root)))[1:]
+        path = _root_path(tree, int(rng.choice(non_root)))[1:]
         if len(path) >= 3:
             yield set(rng.choice(path, size=min(k, len(path)), replace=False).tolist())
         top = int(rng.choice(non_root))
@@ -491,12 +509,14 @@ def test_classification_matches_the_pairwise_rule(multigraph, deep_dfs_tree):
     sets += [(deep, members) for members in _drawn_sets(deep, rng, 40)]
     # Chains and sibling sets on the deep tree, alone and mixed with a
     # parent or with descendants of one sibling.
-    path = deep.root_path(int(np.argmax(deep.depth)))[1:]
+    path = _root_path(deep, int(np.argmax(deep.depth)))[1:]
     for k in range(3, 11):
         sets.append((deep, set(rng.choice(path, size=k, replace=False).tolist())))
         sets.append((deep, set(path[-k:])))
-    for kids in [kids for kids in deep.children if len(kids) >= 3][:20]:
-        parent = int(deep.parent[kids[0]])
+    offsets, child_ids = deep._child_table
+    for parent in np.flatnonzero(np.diff(offsets) >= 3)[:20].tolist():
+        kids = child_ids[offsets[parent] : offsets[parent + 1]].tolist()
+        assert deep.parent[kids].tolist() == [parent] * len(kids)
         below = sorted(deep.subtree_members(kids[0]) - {kids[0]})
         sets.append((deep, set(kids)))
         if parent != deep.root:
@@ -526,8 +546,8 @@ def test_case_witness_invariants(inst):
     if case.tag is CaseTag.CASE2_CHAIN:
         deep, shallow = case.pair
         assert {deep, shallow} <= set(mem)
-        assert tree.depth_of(deep) >= tree.depth_of(shallow)
-        assert tree.is_descendant(deep, shallow)
+        assert tree.depth[deep] >= tree.depth[shallow]
+        assert _descends(tree, deep, shallow)
         assert k_wise_gamma(graph, tree, members) == pairwise_gamma(
             graph, tree, deep, shallow
         )
@@ -539,7 +559,7 @@ def test_case_witness_invariants(inst):
         assert any(
             not _independent(tree, a, v) for v in mem if v != a
         )
-        assert not all(tree.is_descendant(v, a) for v in mem if v != a)
+        assert not all(_descends(tree, v, a) for v in mem if v != a)
         rest = [v for v in mem if v != a]
         assert k_wise_gamma(graph, tree, members) == k_wise_gamma(
             graph, tree, rest

@@ -168,8 +168,7 @@ def test_bfs_tree_depth_equals_distance():
     g = gen_connected_graph(40, 100, seed=11)
     t = gen_spanning_tree(g, 3, seed=0, strategy="bfs")
     dist = bfs_distances(g, 3)
-    for v in range(40):
-        assert t.depth_of(v) == dist[v]
+    assert t.depth.tolist() == [dist[v] for v in range(40)]
 
 
 def test_deterministic_strategies_ignore_seed():
@@ -304,7 +303,7 @@ def test_spanning_trees_span(n, seed, strategy):
     root = seed % n
     t = gen_spanning_tree(g, root, seed, strategy)
     assert len(t.tree_edge_ids) == n - 1
-    assert all(t.depth_of(v) >= 0 for v in range(n))
+    assert len(t.depth) == n and (t.depth >= 0).all()
 
 
 def test_query_set_draws_are_pinned():

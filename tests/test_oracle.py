@@ -213,7 +213,7 @@ def _refused(name):
     return property(read)
 
 
-# A tree whose tables, child lists and subtree walk all raise when looked
+# A tree whose tables, child table and subtree walk all raise when looked
 # up; properties on the class win over the instance's own attributes.
 _TablesHidden = type(
     "_TablesHidden",
@@ -221,9 +221,9 @@ _TablesHidden = type(
     {
         name: _refused(name)
         for name in (
-            "children", "subtree_members", "parent", "parent_edge", "depth",
+            "_child_table", "subtree_members", "parent", "parent_edge", "depth",
             "euler_in", "euler_out", "order", "edge_euler_in", "subtree_cut",
-            "_children", "_edge_euler_in", "_subtree_cut",
+            "_child_csr", "_edge_euler_in", "_subtree_cut",
         )
     },
 )
@@ -240,7 +240,7 @@ def test_oracle_reads_no_tree_table(strategy):
     sub = {v: {u for u in range(n) if tin[v] <= tin[u] <= tout[v]} for v in range(n)}
     tree.__class__ = _TablesHidden
     with pytest.raises(AssertionError):
-        tree.children
+        tree._child_table
     non_root = [v for v in range(n) if v != root]
     for v in non_root:
         assert xor_of_subtrees(tree, [v]) == sub[v]

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 
@@ -26,14 +27,35 @@ from respecting_cuts.oracle import xor_of_subtrees
 from respecting_cuts.tree import build_rooted_tree
 
 
+def _descends(tree, u, v):
+    """Whether u lies in the subtree of v (u == v counts), by the Euler
+    interval test."""
+    tin = tree.euler_in
+    return bool(tin[v] <= tin[u] <= tree.euler_out[v])
+
+
+def _root_path(tree, v):
+    """The vertices from the root down to v: those whose Euler intervals
+    hold v, in preorder."""
+    at = tree.euler_in[v]
+    above = tree.order[: at + 1]
+    return above[tree.euler_out[above] >= at].tolist()
+
+
+def _child_lists(tree):
+    """The child table as one ascending list per vertex."""
+    offsets, kids = tree._child_table
+    return [kids[a:b].tolist() for a, b in itertools.pairwise(offsets.tolist())]
+
+
 def test_path_tree_tables(f1):
     _, t = f1
     assert t.root == 0
-    assert [t.depth_of(v) for v in range(3)] == [0, 1, 2]
+    assert t.depth.tolist() == [0, 1, 2]
     assert t.parent.tolist() == [-1, 0, 1]
     assert t.parent_edge.tolist() == [-1, 0, 1]
-    assert t.root_path(2) == [0, 1, 2]
-    assert t.root_path(0) == [0]
+    assert _root_path(t, 2) == [0, 1, 2]
+    assert _root_path(t, 0) == [0]
     # Discovery indices strictly increase along the path.
     assert t.euler_in.tolist() == [0, 1, 2]
     assert t.euler_out.tolist() == [2, 2, 2]
@@ -49,6 +71,9 @@ def test_tables_are_read_only_int32(f2):
         assert table.dtype == np.int32, name
         assert not table.flags.writeable, name
     assert t.edge_euler_in.shape == (2, g.m)
+    for table in t._child_table:
+        assert table.dtype == np.int32
+        assert not table.flags.writeable
 
 
 def test_subtree_members(f1):
@@ -62,7 +87,6 @@ def test_tree_queries_reject_coerced_vertices(f1):
     _, t = f1
     for query in (
         lambda: t.subtree_members(1.0),
-        lambda: t.root_path(True),
         lambda: t.parent_edge_of("2"),
         lambda: t.decompose_cut_as_xor_basis({1.5}),
     ):
@@ -72,14 +96,14 @@ def test_tree_queries_reject_coerced_vertices(f1):
 
 
 def _independent(tree, u, v):
-    return not (tree.is_descendant(u, v) or tree.is_descendant(v, u))
+    return not (_descends(tree, u, v) or _descends(tree, v, u))
 
 
 def test_descendant_and_independent(f1, f2):
     _, t1 = f1
-    assert t1.is_descendant(2, 1)
-    assert not t1.is_descendant(1, 2)
-    assert t1.is_descendant(1, 1)
+    assert _descends(t1, 2, 1)
+    assert not _descends(t1, 1, 2)
+    assert _descends(t1, 1, 1)
     assert not _independent(t1, 1, 2)
     assert not _independent(t1, 1, 1)
     _, t2 = f2
@@ -89,9 +113,10 @@ def test_descendant_and_independent(f1, f2):
 
 def test_children_sorted(f2):
     _, t = f2
-    assert t.children[0] == [1, 2, 3]
-    assert t.children[1] == []
-    assert t.children is t.children  # built once, then kept
+    offsets, kids = t._child_table
+    assert offsets.tolist() == [0, 3, 3, 3, 3]
+    assert kids.tolist() == [1, 2, 3]
+    assert t._child_table is t._child_table  # built once, then kept
 
 
 def test_parent_edge_of_root_rejected(f1):
@@ -172,15 +197,17 @@ def test_decompose_rejects_improper_sets(f1):
 def test_root_at_other_end():
     g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
     t = build_rooted_tree(g, {0, 1}, 2)
-    assert t.root_path(0) == [2, 1, 0]
-    assert [t.depth_of(v) for v in range(3)] == [2, 1, 0]
+    assert _root_path(t, 0) == [2, 1, 0]
+    assert t.depth.tolist() == [2, 1, 0]
+    assert _child_lists(t) == [[], [0], [1]]
 
 
 def test_single_vertex_tree():
     g = build_graph(1, [])
     t = build_rooted_tree(g, set(), 0)
     assert t.subtree_members(0) == {0}
-    assert t.root_path(0) == [0]
+    assert _root_path(t, 0) == [0]
+    assert _child_lists(t) == [[]]
 
 
 @st.composite
@@ -203,7 +230,7 @@ def test_euler_intervals_match_membership(inst):
     for v in range(n):
         members = tree.subtree_members(v)
         for u in range(n):
-            assert tree.is_descendant(u, v) == (u in members)
+            assert _descends(tree, u, v) == (u in members)
 
 
 @given(tree_instance())
@@ -211,19 +238,23 @@ def test_euler_intervals_match_membership(inst):
 def test_tree_table_invariants(inst):
     _, tree = inst
     n = tree.graph.n
-    assert tree.depth_of(tree.root) == 0
+    depth, parent = tree.depth.tolist(), tree.parent.tolist()
+    children = _child_lists(tree)
+    assert depth[tree.root] == 0
     for v in range(n):
-        path = tree.root_path(v)
-        assert len(path) == tree.depth_of(v) + 1
+        path = _root_path(tree, v)
+        assert len(path) == depth[v] + 1
         assert path[0] == tree.root
         assert path[-1] == v
-        for child in tree.children[v]:
-            assert tree.depth_of(child) == tree.depth_of(v) + 1
-        assert tree.children[v] == sorted(tree.children[v])
+        assert [parent[c] for c in path[1:]] == path[:-1]
+        for child in children[v]:
+            assert depth[child] == depth[v] + 1
+            assert parent[child] == v
+        assert children[v] == sorted(children[v])
     # Subtree sizes add up across the parent relation.
     sizes = {v: len(tree.subtree_members(v)) for v in range(n)}
     for v in range(n):
-        assert sizes[v] == 1 + sum(sizes[c] for c in tree.children[v])
+        assert sizes[v] == 1 + sum(sizes[c] for c in children[v])
 
 
 @given(tree_instance(), st.integers(0, 2**31))
@@ -244,11 +275,67 @@ def test_decompose_round_trip(inst, salt):
     assert crossing == {tree.parent_edge_of(v) for v in basis}
 
 
+def _mask_decompose(tree, members):
+    """The basis by the n-long mask formula: every non-root vertex whose
+    membership differs from its parent's."""
+    mask = np.zeros(tree.n, dtype=bool)
+    mask[list(members)] = True
+    crossing = mask != mask[tree.parent]
+    crossing[tree.root] = False
+    return set(np.flatnonzero(crossing).tolist()), tree.root in members
+
+
+def _hub_trees():
+    """Trees on 45 vertices where vertex 1 has 39 children: 1 hangs
+    below 0 with the leaves 2..40, and 0 starts the path 41..44.  Rooted
+    at 0, at the last vertex and at the leaf 17, where 0 is a child of 1."""
+    edges = [(0, 1)] + [(1, leaf) for leaf in range(2, 41)]
+    edges += [(0, 41), (41, 42), (42, 43), (43, 44)]
+    graph = build_graph(45, edges + [(2, 3), (40, 44), (5, 42)])
+    return [build_rooted_tree(graph, range(44), root) for root in (0, 44, 17)]
+
+
+def test_decompose_matches_the_mask_formula(deep_dfs_tree):
+    rng = np.random.default_rng(23)
+    trees = _hub_trees()
+    assert all(len(_child_lists(tree)[1]) == 39 for tree in trees)
+    graph = gen_connected_graph(300, 700, seed=12)
+    trees += [gen_spanning_tree(graph, 299, 5, strategy) for strategy in STRATEGIES]
+    trees.append(deep_dfs_tree)
+    for tree in trees:
+        n, root = tree.n, tree.root
+        everything = set(range(n))
+        sets = [
+            {1},  # a member with 39 children on the hub trees
+            {1, 7, 30},
+            {root},
+            {root, 1},
+            {root, n - 1},  # the root's parent -1 reads mask[n - 1]
+            {root, n - 2},
+            {n - 1},
+            everything - {root},
+            everything - {n - 1},
+            everything - {1},
+        ]
+        for size in (1, 2, 3, 14, n // 2, n - 2, n - 1):
+            for _ in range(4):
+                sets.append(set(rng.choice(n, size=size, replace=False).tolist()))
+        sets += [set(_root_path(tree, v)) for v in (n - 1, int(np.argmax(tree.depth)))]
+        for members in sets:
+            if not 0 < len(members) < n:
+                continue
+            basis, complemented = tree.decompose_cut_as_xor_basis(members)
+            assert (basis, complemented) == _mask_decompose(tree, members), (
+                n, root, sorted(members)
+            )
+            assert all(type(v) is int for v in basis)
+
+
 def _tree_digest(tree):
     tables = [tree.tree_edge_ids.tolist()]
     for name in ("parent", "parent_edge", "depth", "euler_in", "euler_out", "order"):
         tables.append(getattr(tree, name).tolist())
-    tables.append(tree.children)
+    tables.append(_child_lists(tree))
     return hashlib.sha256(json.dumps(tables).encode()).hexdigest()[:16]
 
 
@@ -311,20 +398,21 @@ def test_deep_dfs_tree(deep_dfs_tree):
 
 
 def test_tree_keeps_no_list_tables(multigraph):
-    # Every table lives once, as numpy; child lists are the one exception,
-    # and only once they are asked for.
+    # Every table lives once, as numpy, whatever queries fill.
     tree = gen_spanning_tree(multigraph, 7, 11, "dfs")
-    all_subtree_cut_sizes(multigraph, tree)
-    pairwise_gamma(multigraph, tree, 1, 2)
-    k_respecting_cut_size(multigraph, tree, [1, 2, 3, 4, 5])
-    tree.decompose_cut_as_xor_basis({1, 2, 3})
 
     def lists():
         return [name for name, value in vars(tree).items() if isinstance(value, list)]
 
-    assert lists() == []
-    tree.children
-    assert lists() == ["_children"]
+    for query in (
+        lambda: all_subtree_cut_sizes(multigraph, tree),
+        lambda: pairwise_gamma(multigraph, tree, 1, 2),
+        lambda: k_respecting_cut_size(multigraph, tree, [1, 2, 3, 4, 5]),
+        lambda: tree.decompose_cut_as_xor_basis({1, 2, 3}),
+    ):
+        query()
+        assert lists() == []
+    assert all(isinstance(table, np.ndarray) for table in tree._child_csr)
 
 
 @pytest.mark.parametrize(
@@ -404,7 +492,7 @@ def test_deep_nonspanning_names_an_unreached_vertex(deep_dfs_tree):
     depth = deep_dfs_tree.depth
     tin, tout = deep_dfs_tree.euler_in, deep_dfs_tree.euler_out
     assert int(depth.max()) > graph.n // 2
-    path = deep_dfs_tree.root_path(int(np.argmax(depth)))
+    path = _root_path(deep_dfs_tree, int(np.argmax(depth)))
     x = path[len(path) // 4]
     cut_off = (tin[x] <= tin) & (tin <= tout[x])
     ids = deep_dfs_tree.tree_edge_ids.tolist()
@@ -449,7 +537,8 @@ def _lexsorted_csr(n, u, v, ids):
 
 def _reference_tables(graph, tree_ids, root):
     """Every tree table from a lexsorted CSR of the tree edges, the
-    depth-first _preorder over it and one loop each for depth and size."""
+    depth-first _preorder over it and one loop each for depth, size and
+    the child lists."""
     n = graph.n
     ids = np.array(sorted(tree_ids), dtype=np.int64)
     csr = _lexsorted_csr(n, graph.edge_u[ids], graph.edge_v[ids], ids)
@@ -463,6 +552,9 @@ def _reference_tables(graph, tree_ids, root):
     tin = [0] * n
     for i, v in enumerate(order):
         tin[v] = i
+    children = [[] for _ in range(n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
     return {
         "parent": parent,
         "parent_edge": parent_edge,
@@ -470,6 +562,7 @@ def _reference_tables(graph, tree_ids, root):
         "euler_in": tin,
         "euler_out": [tin[v] + size[v] - 1 for v in range(n)],
         "order": order,
+        "children": children,
     }
 
 
@@ -507,7 +600,11 @@ def _check_tables_match_reference(multigraph, deep_dfs_tree, one_pass):
     for graph, tree_ids, root in cases:
         tree = build_rooted_tree(graph, tree_ids, root)
         for name, expected in _reference_tables(graph, tree_ids, root).items():
-            assert getattr(tree, name).tolist() == expected, (graph.n, root, name)
+            if name == "children":
+                actual = _child_lists(tree)
+            else:
+                actual = getattr(tree, name).tolist()
+            assert actual == expected, (graph.n, root, name)
         offsets, nbrs, eids = graph.adjacency
         expected = _lexsorted_csr(
             graph.n, graph.edge_u, graph.edge_v, np.arange(graph.m)
