@@ -161,7 +161,7 @@ class GammaTable:
     """Lazy per-(graph, tree) cache of pairwise intersection sizes.
 
     Pair entries are symmetric and filled on demand by one vectorized
-    O(m) pass over ``_crossing`` masks each; single values read the
+    O(m) pass over ``_crossing`` masks each; single values live in the
     tree's ``subtree_cut`` table.  A table answers only for the graph and
     tree it was built for; the query functions refuse any other.
     """
@@ -171,11 +171,6 @@ class GammaTable:
         self.graph = graph
         self.tree = tree
         self._pairs: dict[tuple[int, int], int] = {}
-
-    def single(self, v: int) -> int:
-        """Cut size of the subtree of v."""
-        (v,) = _validated_members(self.tree, (v,))
-        return int(self.tree.subtree_cut[v])
 
     def pair(self, x: int, y: int) -> int:
         """Intersection size of the subtree cuts of x and y."""

@@ -271,17 +271,27 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Build a Graph from (u, v) pairs or (u, v, weight) triples.
 
     Edge ids follow the order of edge_list and omitted weights default
-    to one.  Rejects non-integer or out-of-range endpoints, self-loops,
+    to one.  Rejects edges that are not sequences of two or three
+    fields, non-integer or out-of-range endpoints, self-loops,
     non-integer weights and weights below one, naming the offending edge
     index, and a total weight of MAX_TOTAL_WEIGHT or more.
     """
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []
-    for edge in edge_list:
+    for i, edge in enumerate(edge_list):
+        try:
+            fields = len(edge)
+        except TypeError:  # not a sequence at all
+            fields = 0
+        if fields not in (2, 3):
+            raise GraphInputError(
+                f"edge {i} is {edge!r}, not (u, v) or (u, v, weight)",
+                edge_index=i,
+            )
         us.append(edge[0])
         vs.append(edge[1])
-        ws.append(edge[2] if len(edge) > 2 else 1)
+        ws.append(edge[2] if fields == 3 else 1)
     return Graph.from_arrays(n, us, vs, ws)
 
 

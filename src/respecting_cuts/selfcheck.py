@@ -36,6 +36,11 @@ from .graph import Graph, cut_edge_set, cut_size_direct
 from .oracle import check_cut_space_identity, oracle_k_wise_gamma, xor_of_subtrees
 from .tree import RootedSpanningTree
 
+# Largest query set that the case candidates and the closed-form sweep draw.
+_K_MAX = 8
+# Graphs case_soundness_sweep draws at most before it gives up on a case.
+_CASE_GRAPHS_MAX = 20_000
+
 
 @dataclass
 class SweepReport:
@@ -170,16 +175,16 @@ def exhaustive_cut_sweep(
     m_max: int = 14,
     seed: int = 0,
     weighted: bool = False,
-    strategies: tuple[str, ...] = ("bfs", "uniform"),
 ) -> SweepReport:
     """Tree-route cut size against the direct cut size for every proper
-    nonempty vertex set of every seeded graph."""
+    nonempty vertex set of every seeded graph, under one BFS and one
+    uniform tree each."""
     master = _master(seed)
     rep = SweepReport()
     for _ in range(num_graphs):
         graph = _draw_graph(master, n_lo, n_hi, m_max, weighted)
         rep.graphs += 1
-        for strategy in strategies:
+        for strategy in ("bfs", "uniform"):
             tree = _draw_tree(master, graph, strategy)
             masks = range(1, (1 << graph.n) - 1)
             if _check_cut_sizes(rep, graph, tree, GammaTable(graph, tree), masks):
@@ -231,7 +236,7 @@ _CASE_TAGS = (
 
 
 def _case_query_candidates(
-    tree: RootedSpanningTree, master: np.random.Generator, k_cap: int = 8
+    tree: RootedSpanningTree, master: np.random.Generator
 ) -> list[set[int]]:
     """Query sets biased toward each classification outcome.
 
@@ -251,7 +256,7 @@ def _case_query_candidates(
         return {pool[int(i)] for i in idx}
 
     for _ in range(3):
-        k = int(master.integers(3, min(k_cap, len(non_root)) + 1))
+        k = int(master.integers(3, min(_K_MAX, len(non_root)) + 1))
         out.append(sample(non_root, k))
 
     tin, tout = tree.euler_in.tolist(), tree.euler_out.tolist()
@@ -267,7 +272,7 @@ def _case_query_candidates(
     at = tin[deepest]
     path = [u for u in tree.order[: at + 1].tolist() if tout[u] >= at][1:]
     if len(path) >= 3:
-        k = int(master.integers(3, min(k_cap, len(path)) + 1))
+        k = int(master.integers(3, min(_K_MAX, len(path)) + 1))
         out.append(sample(path, k))
 
     root_kids = children(root)
@@ -302,9 +307,9 @@ def case_soundness_sweep(
     seed: int = 0,
     n_lo: int = 6,
     n_hi: int = 36,
-    max_graphs: int = 20_000,
 ) -> SweepReport:
-    """Per-case oracle checks until every case has per_case instances.
+    """Per-case oracle checks until every case has per_case instances,
+    or for at most _CASE_GRAPHS_MAX graphs.
 
     Tree shapes are biased (breadth-first trees run shallow, depth-first
     trees run deep, uniform trees sit in between) and query sets are
@@ -317,7 +322,7 @@ def case_soundness_sweep(
     counts = rep.case_counts = {tag.value: 0 for tag in _CASE_TAGS}
     while (
         any(counts[tag.value] < per_case for tag in _CASE_TAGS)
-        and rep.graphs < max_graphs
+        and rep.graphs < _CASE_GRAPHS_MAX
     ):
         graph = _draw_graph(master, n_lo, n_hi)
         tree = _draw_tree(master, graph, STRATEGIES[rep.graphs % len(STRATEGIES)])
@@ -376,25 +381,26 @@ def cut_space_identity_sweep(
 
 
 def two_respecting_sweep(
-    trials: int = 300, n_max: int = 40, k_max: int = 8, seed: int = 0
+    trials: int = 300, n_max: int = 40, seed: int = 0
 ) -> SweepReport:
     """The paper's closed form, read literally from definition-level cuts.
 
-    Per instance, with S(v) the subtree of v: delta(v) is the cut size of
-    S(v), C2(x, y) the 2-respecting cut size of S(x) xor S(y), and t(x, y)
-    counts the other members z whose subtree holds exactly one of x and
-    y.  Then sum_v delta(v) - sum_{x<y} (-1)^t(x,y) (delta(x) + delta(y)
-    - C2(x, y)) must equal both the direct cut size of the members' xor
-    of subtrees and k_respecting_cut_size.  Every term comes from
-    materialized subtrees, so no tree table is read.  Trees cycle through
-    the strategies and every second graph is weighted.
+    Per instance, a query set of one to _K_MAX members, with S(v) the
+    subtree of v: delta(v) is the cut size of S(v), C2(x, y) the
+    2-respecting cut size of S(x) xor S(y), and t(x, y) counts the other
+    members z whose subtree holds exactly one of x and y.  Then
+    sum_v delta(v) - sum_{x<y} (-1)^t(x,y) (delta(x) + delta(y) - C2(x, y))
+    must equal both the direct cut size of the members' xor of subtrees
+    and k_respecting_cut_size.  Every term comes from materialized
+    subtrees, so no tree table is read.  Trees cycle through the
+    strategies and every second graph is weighted.
     """
     master = _master(seed)
     rep = SweepReport()
     for trial in range(trials):
         graph = _draw_graph(master, 3, n_max, weighted=trial % 2 == 1)
         tree = _draw_tree(master, graph, STRATEGIES[trial % len(STRATEGIES)])
-        members = sorted(_draw_query(master, tree, min(k_max, graph.n - 1)))
+        members = sorted(_draw_query(master, tree, min(_K_MAX, graph.n - 1)))
         rep.graphs += 1
 
         sub = {v: xor_of_subtrees(tree, [v]) for v in members}
@@ -420,23 +426,22 @@ def tree_edge_structure_sweep(
     num_graphs: int = 60,
     n_lo: int = 3,
     n_hi: int = 8,
-    m_max: int = 14,
     seed: int = 0,
-    random_sets: int = 5,
 ) -> SweepReport:
     """Structural facts about crossing tree edges, plus decomposition
     round-trips.
 
-    Per graph and tree: the cut of every subtree crosses exactly the
-    subtree top's parent edge among tree edges; the cut of a subtree
-    symmetric difference crosses exactly the members' parent edges; and
-    every proper nonempty vertex set decomposes and rematerializes to
-    itself or its complement, exhaustively.
+    Per graph (at most 14 edges) and tree: the cut of every subtree
+    crosses exactly the subtree top's parent edge among tree edges; the
+    cut of the subtree symmetric difference of five random sets crosses
+    exactly the members' parent edges; and every proper nonempty vertex
+    set decomposes and rematerializes to itself or its complement,
+    exhaustively.
     """
     master = _master(seed)
     rep = SweepReport()
     for gi in range(num_graphs):
-        graph = _draw_graph(master, n_lo, n_hi, m_max)
+        graph = _draw_graph(master, n_lo, n_hi, m_max=14)
         tree = _draw_tree(master, graph, STRATEGIES[gi % len(STRATEGIES)])
         rep.graphs += 1
         n = graph.n
@@ -449,7 +454,7 @@ def tree_edge_structure_sweep(
             if crossing != {tree.parent_edge_of(v)}:
                 return _fail(rep, graph, tree, vertex=v, kind="subtree cut tree edges")
 
-        for _ in range(random_sets):
+        for _ in range(5):
             members = _draw_query(master, tree, n - 1)
             crossing = cut_edge_set(graph, xor_of_subtrees(tree, members)) & tree_ids
             rep.comparisons += 1

@@ -15,9 +15,10 @@ every discovery index, and the depth likewise; the finish index is
 discovery + size - 1.  Discovery intervals give O(1) subtree
 membership: u lies in the subtree of v exactly when
 euler_in(v) <= euler_in(u) <= euler_out(v), and the subtree of v is the
-preorder slice between them.  The child table, which one packed-key
-sort fills, and the subtree cut sizes, which one lowest-common-ancestor
-pass over the edges fills, are built on first use.
+preorder slice between them.  The down arcs, in sorted order, list
+every non-root vertex by (parent, vertex): the tree's child table.  The
+subtree cut sizes, which one lowest-common-ancestor pass over the edges
+fills, are built on first use.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .graph import (
     _index_dtype,
     _is_integer,
     _preorder,
-    _sorted_ids,
     checked_vertex,
     checked_vertex_set,
 )
@@ -64,8 +64,8 @@ class RootedSpanningTree:
     The root and the tree edge ids must be integers (Python or numpy,
     not bools); anything else is refused with TreeStructureError rather
     than converted, and so is a repeated edge id.  Instances never change
-    after construction, apart from filling ``edge_euler_in``,
-    ``subtree_cut`` and the private child table once.
+    after construction, apart from filling ``edge_euler_in`` and
+    ``subtree_cut`` once.
     """
 
     def __init__(self, graph: Graph, tree_edge_ids: Iterable[int], root: int):
@@ -74,7 +74,7 @@ class RootedSpanningTree:
         # Every table holds vertex or edge ids below max(n, m).
         dtype = _index_dtype(n, m)
         ids = _frozen(_checked_edge_ids(tree_edge_ids, n, m), dtype)
-        parent, parent_edge, depth, tin, tout, order = _euler_tables(
+        parent, parent_edge, depth, tin, tout, order, offsets, kids = _euler_tables(
             graph, ids, root, dtype
         )
 
@@ -87,12 +87,15 @@ class RootedSpanningTree:
         self.euler_in = _frozen(tin, dtype)
         self.euler_out = _frozen(tout, dtype)
         self.order = _frozen(order, dtype)
-        # Filled by edge_euler_in, subtree_cut and _child_table.  Assigned
-        # here, not by a cached_property, so that the attribute layout of
-        # every instance stays the one CPython reads fastest.
+        # (offsets, kids): kids holds the non-root vertices sorted by
+        # (parent, vertex), so the children of v are
+        # kids[offsets[v]:offsets[v + 1]], ascending.
+        self._child_table = (_frozen(offsets, dtype), _frozen(kids, dtype))
+        # Filled by edge_euler_in and subtree_cut.  Assigned here, not by a
+        # cached_property, so that the attribute layout of every instance
+        # stays the one CPython reads fastest.
         self._edge_euler_in: np.ndarray | None = None
         self._subtree_cut: np.ndarray | None = None
-        self._child_csr: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -137,26 +140,6 @@ class RootedSpanningTree:
             cut = prefix[self.euler_out + 1] - prefix[self.euler_in]
             self._subtree_cut = _frozen(cut, np.int64)
         return self._subtree_cut
-
-    @property
-    def _child_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(offsets, kids): kids holds the non-root vertices sorted by
-        (parent, vertex), so the children of v are
-        kids[offsets[v]:offsets[v + 1]], ascending.  Built on first use,
-        then kept."""
-        if self._child_csr is None:
-            n, parent = self.n, self.parent
-            shift = max(n - 1, 0).bit_length()  # bits of a vertex id
-            # Keys stay below (n + 1) << shift, under 2**63 while n <= 2**31.
-            key = np.arange(n, dtype=np.uint64)
-            key |= np.left_shift(parent + 1, shift, dtype=np.uint64, casting="unsafe")
-            # The root, alone under parent -1, sorts first.
-            kids = _sorted_ids(key, shift)[1:]
-            # Count 0 is the root's; the rest count each vertex's children.
-            offsets = np.cumsum(np.bincount(parent + 1, minlength=n + 1)) - 1
-            dtype = parent.dtype
-            self._child_csr = (_frozen(offsets, dtype), _frozen(kids, dtype))
-        return self._child_csr
 
     def parent_edge_of(self, v: int) -> int:
         """Edge id connecting v to its parent; the root has none."""
@@ -210,10 +193,10 @@ def _euler_tables(
     graph: Graph, ids: np.ndarray, root: int, dtype: type[np.signedinteger]
 ) -> tuple[np.ndarray, ...]:
     """The tables parent, parent_edge, depth, euler_in, euler_out and
-    order, as arrays of dtype, of the tree that the edges ids form rooted
-    at root, from one Euler tour of their arcs.  Raises
-    TreeStructureError, naming the smallest unreachable vertex, unless
-    the edges span the graph."""
+    order, and the child table's offsets and kids, as arrays of dtype, of
+    the tree that the edges ids form rooted at root, from one Euler tour
+    of their arcs.  Raises TreeStructureError, naming the smallest
+    unreachable vertex, unless the edges span the graph."""
     n = graph.n
     ends = np.stack((graph.edge_u[ids], graph.edge_v[ids]), axis=1, dtype=dtype)
     ends = ends.ravel()
@@ -232,7 +215,9 @@ def _euler_tables(
     pos = _tour_positions(offsets, succ, root)
     if pos is None:
         _, _, reached = _preorder((offsets, dst, order >> 1), root)
-        missing = min(set(range(n)).difference(reached))
+        unseen = np.ones(n, dtype=bool)
+        unseen[reached] = False
+        missing = int(np.argmax(unseen))
         raise TreeStructureError(
             f"tree edges do not span the graph: vertex {missing} is "
             f"unreachable from root {root}"
@@ -248,13 +233,15 @@ def _euler_tables(
     parent_edge[child] = ids[order[down] >> 1]
     size = np.full(n, n, dtype=dtype)
     size[child] = (pos[back] - pos[down] + 1) >> 1
+    # Down arcs sit in CSR order, so child is the child table: the non-root
+    # vertices by (parent, vertex).  Count 0 of its offsets is the root's.
+    kid_offsets = np.cumsum(np.bincount(parent + 1, minlength=n + 1)) - 1
     # A child's preorder index exceeds its parent's by one plus the sizes
-    # of its smaller siblings.  Down arcs sit in CSR order, so siblings
-    # are adjacent and ascending: a segmented exclusive sum.
+    # of its smaller siblings, which sit before it in child: a segmented
+    # exclusive sum.
     span = size[child]
     before = np.cumsum(span) - span
-    first = np.flatnonzero(np.diff(src[down], prepend=-1))
-    gap = before - np.repeat(before[first], np.diff(first, append=len(down))) + 1
+    gap = before - before[kid_offsets[src[down]]] + 1
     # In tour order a down arc adds its child's gap and the twin takes it
     # back, so the running sum at a down arc adds up the gaps along the
     # child's root path: its preorder index.  Steps of one give its depth
@@ -270,7 +257,7 @@ def _euler_tables(
     depth[child] = np.cumsum(walk)[pos[down]]
     order = np.empty(n, dtype=dtype)
     order[tin] = np.arange(n, dtype=dtype)
-    return parent, parent_edge, depth, tin, tin + size - 1, order
+    return parent, parent_edge, depth, tin, tin + size - 1, order, kid_offsets, child
 
 
 def _checked_edge_ids(tree_edge_ids: Iterable[int], n: int, m: int) -> np.ndarray:

@@ -205,23 +205,18 @@ def test_gamma_table_caches_consistently(f3):
     for x, y in itertools.combinations([1, 2, 3], 2):
         assert table.pair(x, y) == pairwise_gamma(g, t, x, y)
         assert table.pair(y, x) == table.pair(x, y)
-    sizes = all_subtree_cut_sizes(g, t)
-    for v in (1, 2, 3):
-        assert table.single(v) == sizes[v]
     # A warm cache validates as a cold one does.
     for bad in (
         lambda: table.pair(1.0, 2),
         lambda: table.pair(True, 2),
         lambda: table.pair(2, "1"),
-        lambda: table.single(1.0),
-        lambda: table.single(True),
     ):
         with pytest.raises(QueryError, match="is not an integer"):
             bad()
     with pytest.raises(QueryError, match="duplicate"):
         table.pair(2, 2)
     with pytest.raises(QueryError, match="root"):
-        table.single(0)
+        table.pair(0, 1)
     assert table.pair(np.int64(1), np.int64(2)) == pairwise_gamma(g, t, 1, 2)
 
 
@@ -255,13 +250,12 @@ def test_table_refuses_a_foreign_graph_or_tree():
 def test_edge_endpoint_indices_are_built_once_per_tree(f2):
     g, t = f2
     all_subtree_cut_sizes(g, t)
-    # the delta pass needs neither the edge indices nor the child table
-    assert t._edge_euler_in is None and t._child_csr is None
+    assert t._edge_euler_in is None  # the delta pass needs no edge indices
     ends = t.edge_euler_in
     assert not ends.flags.writeable
     assert np.array_equal(ends, [t.euler_in[g.edge_u], t.euler_in[g.edge_v]])
     pairwise_gamma(g, t, 1, 2)
-    GammaTable(g, t).single(3)
+    GammaTable(g, t).pair(1, 3)
     assert t.edge_euler_in is ends
 
 
@@ -269,7 +263,6 @@ def test_every_single_reads_the_one_subtree_cut_table(f2):
     g, t = f2
     sizes = all_subtree_cut_sizes(g, t)
     for v in (1, 2, 3):
-        assert GammaTable(g, t).single(v) == sizes[v]
         assert k_wise_gamma(g, t, [v]) == sizes[v]
         assert k_respecting_cut_size(g, t, [v]) == sizes[v]
     # No single scans the edges; they all read one table, built once.
@@ -289,7 +282,7 @@ def test_exact_at_the_total_weight_bound():
     sizes = all_subtree_cut_sizes(g, t)
     for v in (1, 2, 3):
         direct = cut_size_direct(g, xor_of_subtrees(t, [v]))
-        assert sizes[v] == table.single(v) == direct == 2**62 - 3
+        assert sizes[v] == direct == 2**62 - 3
     for k in (1, 2, 3):
         for combo in itertools.combinations([1, 2, 3], k):
             inside = xor_of_subtrees(t, combo)
@@ -361,7 +354,7 @@ def test_single_and_pair_values_match_the_oracle_exhaustively():
         others = [v for v in range(n) if v != root]
         for v in others:
             expected = oracle_k_wise_gamma(graph, tree, {v})
-            assert table.single(v) == sizes[v] == expected
+            assert sizes[v] == expected
         for x, y in itertools.combinations(others, 2):
             expected = oracle_k_wise_gamma(graph, tree, {x, y})
             assert pairwise_gamma(graph, tree, x, y) == expected

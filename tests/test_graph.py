@@ -78,6 +78,10 @@ def test_rejects_zero_weight():
         ([(0, 1), (True, 2)], EndpointRangeError, 1),
         ([("0", 1)], EndpointRangeError, 0),
         ([(0, 1, 2**70)], EdgeWeightError, 0),
+        # Neither (u, v) nor (u, v, weight); no field is dropped.
+        ([(0, 1), (0,)], GraphInputError, 1),
+        ([5], GraphInputError, 0),
+        ([(0, 1), (1, 2), (0, 1, 1, 7)], GraphInputError, 2),
     ],
 )
 def test_rejects_coerced_fields(edges, error, index):

@@ -223,7 +223,7 @@ _TablesHidden = type(
         for name in (
             "_child_table", "subtree_members", "parent", "parent_edge", "depth",
             "euler_in", "euler_out", "order", "edge_euler_in", "subtree_cut",
-            "_child_csr", "_edge_euler_in", "_subtree_cut",
+            "_edge_euler_in", "_subtree_cut",
         )
     },
 )

@@ -106,7 +106,7 @@ def test_tree_edge_structure_sweep_small():
 
 
 def test_two_respecting_sweep_small(monkeypatch):
-    report = two_respecting_sweep(trials=60, n_max=30, k_max=8, seed=8)
+    report = two_respecting_sweep(trials=60, n_max=30, seed=8)
     assert report.ok
     assert summary(report) == (60, 120, 0, {})
     # The closed form holds on its own; an engine off by one then fails
@@ -114,7 +114,7 @@ def test_two_respecting_sweep_small(monkeypatch):
     monkeypatch.setattr(
         selfcheck, "k_respecting_cut_size", lambda *args: k_respecting_cut_size(*args) + 1
     )
-    report = two_respecting_sweep(trials=60, n_max=30, k_max=8, seed=8)
+    report = two_respecting_sweep(trials=60, n_max=30, seed=8)
     assert (report.graphs, report.comparisons, report.mismatches) == (1, 2, 1)
     assert report.counterexample["kind"] == "k_respecting_cut_size vs closed form"
 

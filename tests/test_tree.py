@@ -116,7 +116,20 @@ def test_children_sorted(f2):
     offsets, kids = t._child_table
     assert offsets.tolist() == [0, 3, 3, 3, 3]
     assert kids.tolist() == [1, 2, 3]
-    assert t._child_table is t._child_table  # built once, then kept
+
+
+def test_child_table_comes_with_the_tree(f2):
+    g, t = f2
+    # The Euler tour fills the child table; the edge indices and the
+    # subtree cuts wait for first use.
+    offsets, kids = t._child_table
+    assert t._edge_euler_in is None and t._subtree_cut is None
+    # Their own arrays, not views of the parent tables.
+    for table in (t.parent, t.parent_edge):
+        assert not np.shares_memory(offsets, table)
+        assert not np.shares_memory(kids, table)
+    all_subtree_cut_sizes(g, t)
+    assert t._edge_euler_in is None  # the delta pass builds no edge table
 
 
 def test_parent_edge_of_root_rejected(f1):
@@ -412,7 +425,6 @@ def test_tree_keeps_no_list_tables(multigraph):
     ):
         query()
         assert lists() == []
-    assert all(isinstance(table, np.ndarray) for table in tree._child_csr)
 
 
 @pytest.mark.parametrize(
